@@ -1519,12 +1519,7 @@ pub fn ex_port() -> String {
             .iter()
             .filter(|m| !matches!(m.status, MemberStatus::Skipped | MemberStatus::NotReached))
             .count();
-        let guarantee = out
-            .report
-            .iter()
-            .find(|m| m.name == out.winner)
-            .map(|m| m.guarantee.to_string())
-            .unwrap_or_default();
+        let guarantee = out.guarantee().to_string();
         rows.push(vec![
             name.clone(),
             p.norm_v().to_string(),
@@ -1676,8 +1671,9 @@ pub fn ex_par() -> String {
 /// speedup ≥ max(2, k/2), and the merged certified cost must match the
 /// unsharded deterministic chain on the full instance to 1e-9. Raw rows
 /// land in `artifacts/BENCH_shard.json` (`shard_speedup` is
-/// LowerIsWorse-gated against `baselines/`; racing columns stay
-/// display-only — the racing portfolio is a scheduler lottery).
+/// LowerIsWorse-gated against `baselines/`; the racing cost and winner
+/// are display-only — the racing portfolio is a scheduler lottery, and
+/// a different member may legitimately win it on every run).
 pub fn ex_shard() -> String {
     use delprop_core::runtime::{Budget, Portfolio};
     use delprop_core::shard;
@@ -1740,11 +1736,8 @@ pub fn ex_shard() -> String {
             racing_cost = out.cost;
             winner = out.winner;
         }
-        assert!(
-            sharded_cost <= racing_cost + 1e-9,
-            "sharding must never certify a worse cost than racing \
-             ({sharded_cost} vs {racing_cost})"
-        );
+        // No cost assertion against racing: the race winner depends on
+        // thread scheduling, so its columns are display-only.
 
         let speedup = racing_secs / sharded_secs.max(1e-9);
         log_speedups.push(speedup.max(1e-9).ln());
@@ -1764,6 +1757,7 @@ pub fn ex_shard() -> String {
             format!("{speedup:.2}x"),
             format!(">={floor:.0}x"),
             format!("{sharded_cost:.1}"),
+            format!("{racing_cost:.1} ({winner})"),
         ]);
         json_rows.push(Json::obj(vec![
             ("copies", Json::uint(copies as u64)),
@@ -1803,7 +1797,8 @@ pub fn ex_shard() -> String {
                 "sharded",
                 "speedup",
                 "gate",
-                "cost"
+                "cost",
+                "racing cost"
             ],
             &rows
         )

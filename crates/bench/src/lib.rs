@@ -2,8 +2,8 @@
 //!
 //! Each public `ex_*` function in [`experiments`] regenerates one
 //! table/figure experiment of `EXPERIMENTS.md` and returns its report as
-//! text; the `harness` binary dispatches on experiment ids. Criterion
-//! microbenches (in `benches/`) cover the runtime claims.
+//! text; the `harness` binary dispatches on experiment ids, and its
+//! timed experiments cover the runtime claims.
 
 pub mod experiments;
 // The JSON value type moved to its own crate (the serving daemon's

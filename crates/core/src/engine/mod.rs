@@ -78,7 +78,6 @@ use delprop_query::ViewTupleId;
 use delprop_setcover::BitSet;
 use overlay::DynSortedSet;
 use provenance::ProvenanceIndex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One ΔV maintenance step: view tuples to delete and deletions to
@@ -161,11 +160,6 @@ pub struct EngineStats {
     pub compactions: u64,
     /// Incremental projections installed (one per non-empty batch).
     pub projections: u64,
-    /// Sharded solves answered from the digest cache (component
-    /// untouched since its last certified solve).
-    pub shard_hits: u64,
-    /// Component shards actually solved (cache misses).
-    pub shard_misses: u64,
 }
 
 /// A long-lived incremental deletion-propagation service over one
@@ -194,15 +188,6 @@ pub struct Engine {
     vuln: DynSortedSet,
     policy: CompactionPolicy,
     stats: EngineStats,
-    /// Certified per-shard outcomes keyed by `(component digest,
-    /// objective)`. A `DeltaBatch` that leaves a component untouched
-    /// leaves its digest unchanged, so the next [`Engine::solve_sharded`]
-    /// reuses the cached solve for it and only recomputes dirty
-    /// components. Degraded (budget-starved) outcomes are never cached.
-    /// Sound because the engine's static layer and weights are fixed for
-    /// its lifetime — the digest's id sets fully determine the shard
-    /// subproblem.
-    shard_cache: HashMap<(u64, u8), crate::shard::ShardSolve>,
 }
 
 impl Engine {
@@ -233,7 +218,6 @@ impl Engine {
             prov,
             policy,
             stats: EngineStats::default(),
-            shard_cache: HashMap::new(),
         };
         let initial: Vec<ViewTupleId> = engine.problem.deletions().iter().copied().collect();
         let mut report = DeltaReport::default();
@@ -388,85 +372,6 @@ impl Engine {
         metrics::IR_PATCHES.inc();
         p.install_compiled(Arc::new(ir));
         Ok(p)
-    }
-
-    /// Solve the current instance by component decomposition, reusing
-    /// certified outcomes for components untouched since their last
-    /// solve (`DeltaBatch`es touch only dirty shards).
-    ///
-    /// Each component's digest is stable across batches that do not
-    /// modify it, so the cache turns a batch touching one component of
-    /// `k` into one shard solve plus `k − 1` lookups; only the cache
-    /// misses run, on the work-stealing scheduler. Degraded outcomes
-    /// (budget drained mid-shard) are returned but never cached, so a
-    /// later call with a healthier budget re-solves them.
-    pub fn solve_sharded(
-        &mut self,
-        objective: crate::solvers::local_search::Objective,
-        budget: &crate::runtime::Budget,
-    ) -> Result<crate::shard::ShardedOutcome, CoreError> {
-        use crate::shard::{self, ShardSolve};
-        use crate::solvers::local_search::Objective;
-        use std::sync::Mutex;
-
-        let ir = self.compiled();
-        let part = shard::partition(&ir);
-        let k = part.shards.len();
-        let obj_tag = match objective {
-            Objective::Standard => 0u8,
-            Objective::Balanced => 1u8,
-        };
-
-        let mut per_shard: Vec<Option<ShardSolve>> = vec![None; k];
-        let mut missing: Vec<usize> = Vec::new();
-        for (i, s) in part.shards.iter().enumerate() {
-            match self.shard_cache.get(&(s.digest, obj_tag)) {
-                Some(hit) => {
-                    metrics::SHARD_CACHE_HITS.inc();
-                    self.stats.shard_hits += 1;
-                    per_shard[i] = Some(hit.clone());
-                }
-                None => missing.push(i),
-            }
-        }
-        self.stats.shard_misses += missing.len() as u64;
-
-        if !missing.is_empty() {
-            let slots: Vec<Mutex<Option<Result<ShardSolve, CoreError>>>> =
-                (0..missing.len()).map(|_| Mutex::new(None)).collect();
-            let workers = crate::runtime::sync::available_parallelism().min(missing.len());
-            shard::run_tasks(missing.len(), workers, |t| {
-                let handle = budget.share_labeled("shard");
-                let result =
-                    shard::solve_component(&part.shards[missing[t]].ir, objective, &handle);
-                *slots[t].lock().unwrap() = Some(result);
-            });
-            for (slot, &i) in slots.into_iter().zip(&missing) {
-                let s = slot
-                    .into_inner()
-                    .unwrap()
-                    .expect("the scheduler runs every shard task exactly once")?;
-                if !s.degraded {
-                    self.shard_cache
-                        .insert((part.shards[i].digest, obj_tag), s.clone());
-                }
-                per_shard[i] = Some(s);
-            }
-        }
-
-        // Bound the cache: once it far outgrows the live partition (many
-        // churned components), keep only digests still present.
-        if self.shard_cache.len() > 4 * k.max(64) {
-            let live: std::collections::HashSet<u64> =
-                part.shards.iter().map(|s| s.digest).collect();
-            self.shard_cache.retain(|(d, _), _| live.contains(d));
-        }
-
-        let per_shard: Vec<ShardSolve> = per_shard
-            .into_iter()
-            .map(|s| s.expect("every shard is either cached or freshly solved"))
-            .collect();
-        shard::merge_shards(&ir, per_shard, objective)
     }
 
     /// Force-fold all overlays into clean arrays. The installed IR is
@@ -782,53 +687,6 @@ mod tests {
         engine.compact();
         engine.apply(&DeltaBatch::default()).unwrap();
         assert_eq!(engine.compiled().shape_digest(), digest);
-    }
-
-    #[test]
-    fn sharded_solve_caches_clean_components_across_batches() {
-        use crate::runtime::Budget;
-        use crate::solvers::local_search::Objective;
-
-        // Two components: demand 1 ({R1(1,0),R2(0,0),R3(0,0)}) and
-        // demand 4 ({R1(4,2),R2(2,1),R3(1,0)}).
-        let p = chain_problem(8, 3, &[1, 4]);
-        let mut engine = Engine::new(p).unwrap();
-        let budget = Budget::unlimited();
-
-        let first = engine.solve_sharded(Objective::Standard, &budget).unwrap();
-        assert_eq!(first.shards, 2);
-        assert_eq!(engine.stats().shard_hits, 0);
-        assert_eq!(engine.stats().shard_misses, 2);
-
-        // Identical instance: both shards answered from the cache.
-        let second = engine.solve_sharded(Objective::Standard, &budget).unwrap();
-        assert_eq!(engine.stats().shard_hits, 2);
-        assert_eq!(engine.stats().shard_misses, 2);
-        assert_eq!(first.solution, second.solution);
-        assert_eq!(first.cost.to_bits(), second.cost.to_bits());
-
-        // Delete chain 2's view tuple: it shares R3(0,0) with demand 1,
-        // so only that component's digest changes; demand 4's shard is
-        // still served from the cache.
-        let chain2 = engine.problem().views().views[0]
-            .position_of(&tup![2i64, 1, 0, 0])
-            .map(|i| ViewTupleId::new(0, i))
-            .unwrap();
-        engine.apply(&DeltaBatch::deletes([chain2])).unwrap();
-        let third = engine.solve_sharded(Objective::Standard, &budget).unwrap();
-        assert_eq!(engine.stats().shard_hits, 3, "clean component reused");
-        assert_eq!(engine.stats().shard_misses, 3, "dirty component re-solved");
-        assert!(third.solution.is_feasible(engine.problem()));
-
-        // The cached merge equals a from-scratch sharded solve.
-        let fresh = crate::shard::solve_sharded_ir(
-            &engine.compiled(),
-            Objective::Standard,
-            &Budget::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(third.solution, fresh.solution);
-        assert_eq!(third.cost.to_bits(), fresh.cost.to_bits());
     }
 
     #[test]

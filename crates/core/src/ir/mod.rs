@@ -947,22 +947,21 @@ impl CompiledInstance {
 }
 
 /// FNV-1a 64-bit, fed with little-endian `u64`s — the zero-dependency
-/// structural hash behind [`CompiledInstance::shape_digest`] and the
-/// shard partitioner's per-component digests.
-pub(crate) struct Fnv1a(u64);
+/// structural hash behind [`CompiledInstance::shape_digest`].
+struct Fnv1a(u64);
 
 impl Fnv1a {
-    pub(crate) fn new() -> Fnv1a {
+    fn new() -> Fnv1a {
         Fnv1a(0xcbf2_9ce4_8422_2325)
     }
 
-    pub(crate) fn write_u64(&mut self, x: u64) {
+    fn write_u64(&mut self, x: u64) {
         for b in x.to_le_bytes() {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
-    pub(crate) fn finish(&self) -> u64 {
+    fn finish(&self) -> u64 {
         self.0
     }
 }

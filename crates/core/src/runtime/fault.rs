@@ -11,7 +11,7 @@
 //! retry/backoff and graceful-degradation ladder deterministically.
 
 use crate::error::CoreError;
-use crate::problem::Problem;
+use crate::ir::CompiledInstance;
 use crate::solution::Solution;
 use crate::solvers::local_search::Objective;
 use delprop_relation::{RelationId, TupleId};
@@ -111,21 +111,25 @@ impl<S: Solver> Solver for FaultySolver<S> {
         self.inner.objective()
     }
 
-    fn applies(&self, problem: &Problem) -> bool {
-        self.inner.applies(problem)
+    fn shard_local(&self) -> bool {
+        self.inner.shard_local()
     }
 
-    fn guarantee(&self, problem: &Problem) -> Guarantee {
-        self.inner.guarantee(problem)
+    fn applies(&self, ir: &CompiledInstance) -> bool {
+        self.inner.applies(ir)
     }
 
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError> {
+    fn guarantee(&self, ir: &CompiledInstance) -> Guarantee {
+        self.inner.guarantee(ir)
+    }
+
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError> {
         // Ordering: Relaxed — a monotone attempt counter; the stateful
         // modes only need each solve call to observe a distinct value,
         // which the RMW's atomicity provides.
         let attempt = self.attempts.fetch_add(1, Ordering::Relaxed);
         match self.mode {
-            FaultMode::None => self.inner.solve(problem, budget),
+            FaultMode::None => self.inner.solve(ir, budget),
             FaultMode::Panic => panic!("injected panic from {}", self.name()),
             FaultMode::Stall => loop {
                 // Poll first: a cancelled or deadline-expired stall must
@@ -160,7 +164,7 @@ impl<S: Solver> Solver for FaultySolver<S> {
                         ),
                     })
                 } else {
-                    self.inner.solve(problem, budget)
+                    self.inner.solve(ir, budget)
                 }
             }
             FaultMode::SlowStart { warmup_ticks } => {
@@ -168,7 +172,7 @@ impl<S: Solver> Solver for FaultySolver<S> {
                 if warmup > 0 {
                     budget.charge(warmup)?;
                 }
-                self.inner.solve(problem, budget)
+                self.inner.solve(ir, budget)
             }
             FaultMode::Infeasible => Ok(Solution::empty()),
             FaultMode::Corrupt => Ok(Solution::from_tuples([
@@ -194,7 +198,7 @@ mod tests {
         let p = chain_problem(6, 3, &[1, 3]);
         let f = FaultySolver::new(GreedySolver, FaultMode::None);
         assert_eq!(f.name(), "greedy");
-        let sol = f.solve(&p, &Budget::unlimited()).unwrap();
+        let sol = f.solve(p.compiled(), &Budget::unlimited()).unwrap();
         assert!(sol.is_feasible(&p));
     }
 
@@ -203,7 +207,7 @@ mod tests {
         let p = chain_problem(6, 3, &[1, 3]);
         let f = FaultySolver::new(GreedySolver, FaultMode::Stall);
         let budget = Budget::with_ticks(500);
-        let err = f.solve(&p, &budget).unwrap_err();
+        let err = f.solve(p.compiled(), &budget).unwrap_err();
         assert!(matches!(err, CoreError::BudgetExhausted { .. }));
         assert!(budget.is_exhausted());
     }
@@ -221,7 +225,7 @@ mod tests {
         let root = Budget::unlimited();
         let member = root.share_labeled("faulty_stall");
         let err = std::thread::scope(|s| {
-            let h = s.spawn(|| f.solve(&p, &member).unwrap_err());
+            let h = s.spawn(|| f.solve(p.compiled(), &member).unwrap_err());
             root.cancel_all_with_cause("deadline");
             h.join().expect("stall thread must terminate")
         });
@@ -238,7 +242,7 @@ mod tests {
         let p = chain_problem(6, 3, &[1, 3]);
         let f = FaultySolver::new(GreedySolver, FaultMode::ExhaustBudget);
         let budget = Budget::with_ticks(10_000);
-        let err = f.solve(&p, &budget).unwrap_err();
+        let err = f.solve(p.compiled(), &budget).unwrap_err();
         assert!(matches!(err, CoreError::BudgetExhausted { .. }));
         assert_eq!(budget.remaining(), 0);
     }
@@ -248,7 +252,7 @@ mod tests {
         let p = chain_problem(6, 3, &[1, 3]);
         let f = FaultySolver::new(GreedySolver, FaultMode::Transient { fail_count: 2 });
         for k in 1..=2 {
-            let err = f.solve(&p, &Budget::unlimited()).unwrap_err();
+            let err = f.solve(p.compiled(), &Budget::unlimited()).unwrap_err();
             match err {
                 CoreError::StructureMismatch { reason, .. } => {
                     assert!(reason.contains(&format!("failure {k} of 2")), "{reason}")
@@ -256,7 +260,7 @@ mod tests {
                 other => panic!("expected typed transient error, got {other:?}"),
             }
         }
-        let sol = f.solve(&p, &Budget::unlimited()).unwrap();
+        let sol = f.solve(p.compiled(), &Budget::unlimited()).unwrap();
         assert!(sol.is_feasible(&p), "third call must succeed");
         assert_eq!(f.attempts(), 3);
     }
@@ -275,11 +279,11 @@ mod tests {
         // and the solve lands.
         for _ in 0..2 {
             let budget = Budget::with_ticks(1_500);
-            let err = f.solve(&p, &budget).unwrap_err();
+            let err = f.solve(p.compiled(), &budget).unwrap_err();
             assert!(matches!(err, CoreError::BudgetExhausted { .. }));
         }
         let budget = Budget::with_ticks(1_500);
-        let sol = f.solve(&p, &budget).unwrap();
+        let sol = f.solve(p.compiled(), &budget).unwrap();
         assert!(sol.is_feasible(&p));
         assert!(budget.used() >= 1_024, "warm-up ticks were charged");
     }
@@ -288,7 +292,7 @@ mod tests {
     fn corrupt_solution_is_not_feasible_noise() {
         let p = chain_problem(6, 3, &[1, 3]);
         let f = FaultySolver::new(GreedySolver, FaultMode::Corrupt);
-        let sol = f.solve(&p, &Budget::unlimited()).unwrap();
+        let sol = f.solve(p.compiled(), &Budget::unlimited()).unwrap();
         assert!(!sol.is_feasible(&p), "fabricated ids cut nothing");
     }
 }

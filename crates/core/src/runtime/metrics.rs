@@ -213,12 +213,10 @@ pub static SOLVE_SOURCE: Counter = Counter::new("solve.source");
 
 /// Component partitions computed over compiled instances.
 pub static SHARD_PARTITIONS: Counter = Counter::new("shard.partitions");
-/// Per-shard solves actually executed (cache misses included).
+/// Per-shard chain runs executed.
 pub static SHARD_SOLVES: Counter = Counter::new("shard.solves");
 /// Successful steals in the work-stealing scheduler.
 pub static SHARD_STEALS: Counter = Counter::new("shard.steals");
-/// Engine shard-cache hits (unchanged component reused across batches).
-pub static SHARD_CACHE_HITS: Counter = Counter::new("shard.cache_hits");
 
 /// Wall-clock of each IR compilation, in microseconds.
 pub static IR_COMPILE_MICROS: Histogram = Histogram::new("ir.compile_micros");
@@ -231,7 +229,7 @@ pub static VERIFY_MICROS: Histogram = Histogram::new("portfolio.verify_micros");
 /// wanting stable output should sort by [`Counter::name`] (as
 /// [`render`] does).
 pub fn counters() -> &'static [&'static Counter] {
-    static REGISTRY: [&Counter; 26] = [
+    static REGISTRY: [&Counter; 25] = [
         &BUDGET_TICKS,
         &BUDGET_EXHAUSTIONS,
         &CANCELLATIONS,
@@ -257,7 +255,6 @@ pub fn counters() -> &'static [&'static Counter] {
         &SHARD_PARTITIONS,
         &SHARD_SOLVES,
         &SHARD_STEALS,
-        &SHARD_CACHE_HITS,
     ];
     &REGISTRY
 }

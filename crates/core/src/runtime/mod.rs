@@ -12,16 +12,19 @@
 //!   pivots, local-search moves); [`Budget::share`] hands out more
 //!   handles on the same pool, each with its own cancellation token;
 //! - [`Solver`] — one trait (`Send + Sync`) over the ten entry points in
-//!   [`crate::solvers`], with [`Guarantee`] metadata;
+//!   [`crate::solvers`], reading the compiled IR, with [`Guarantee`]
+//!   metadata;
 //! - [`Portfolio`] — guarantee-ordered fallback chains with
 //!   `catch_unwind` isolation around each member and mandatory
 //!   verification (`is_feasible` + `verify_by_reevaluation`) before any
 //!   solution is reported; [`Portfolio::solve_racing`] runs all
 //!   applicable members on scoped threads with
-//!   first-strongest-verified-wins cancellation;
+//!   first-strongest-verified-wins cancellation, and
+//!   [`Portfolio::solve_sharded`] runs the chain per connected
+//!   component — all through one execution core;
 //! - [`FaultySolver`] — fault injection used by the test suite to prove
-//!   panics are contained and unverified answers never escape, on both
-//!   the sequential and the racing path;
+//!   panics are contained and unverified answers never escape, on the
+//!   sequential, racing and sharded paths;
 //! - [`trace`] / [`metrics`] — zero-dependency observability
 //!   (`DESIGN.md` §10): attach a [`TraceSink`] to a budget with
 //!   [`Budget::with_sink`] and every phase (compile, member spans,

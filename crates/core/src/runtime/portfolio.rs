@@ -18,8 +18,15 @@
 //! at their next budget checkpoint); the winner among the verified
 //! candidates is chosen exactly like the sequential path, by minimum
 //! cost with chain order breaking ties.
+//!
+//! Every entry point (`solve`, `solve_best`, `solve_racing`,
+//! `solve_sharded`) is one `Strategy` of a single execution core: the
+//! same containment routine runs and verifies each member, and the same
+//! fold turns per-member slots into a [`PortfolioOutcome`] or a typed
+//! error. Member order is defined only by the chain itself.
 
 use crate::error::CoreError;
+use crate::ir::CompiledInstance;
 use crate::problem::Problem;
 use crate::solution::Solution;
 use crate::solvers::local_search::Objective;
@@ -139,6 +146,16 @@ pub struct PortfolioOutcome {
     pub compile_ticks: u64,
 }
 
+impl PortfolioOutcome {
+    /// The winning member's guarantee on this instance.
+    pub fn guarantee(&self) -> Guarantee {
+        self.report
+            .iter()
+            .find(|r| r.name == self.winner)
+            .map_or(Guarantee::Heuristic, |r| r.guarantee)
+    }
+}
+
 impl fmt::Display for PortfolioOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -166,6 +183,81 @@ pub struct Portfolio {
     objective: Objective,
 }
 
+/// How [`Portfolio::dispatch`] runs the chain. Every strategy shares
+/// one containment routine ([`Portfolio::contain`]) and one fold from
+/// per-member slots to the outcome ([`fold`]).
+enum Strategy {
+    /// Members in chain order until one verifies.
+    First,
+    /// Every applicable member in chain order; the cheapest verified
+    /// candidate wins.
+    Best,
+    /// Every applicable member on its own thread, with dominance
+    /// cancellation; the cheapest verified candidate wins.
+    Race,
+    /// Split into connected components and run `First` over the
+    /// shard-local members on each (`crate::shard`), reported as the
+    /// one `"sharded"` pseudo-member.
+    Shard,
+}
+
+/// What a member's output is verified against.
+#[derive(Clone, Copy)]
+enum Check<'a> {
+    /// A whole instance: feasibility plus ground-truth re-evaluation on
+    /// the problem itself.
+    Problem(&'a Problem),
+    /// One component shard: feasibility and cost on the shard IR. The
+    /// merge re-checks the union on the full IR.
+    Shard(&'a CompiledInstance),
+}
+
+impl Check<'_> {
+    /// The IR members read.
+    fn ir(&self) -> &CompiledInstance {
+        match self {
+            Check::Problem(problem) => problem.compiled(),
+            Check::Shard(ir) => ir,
+        }
+    }
+
+    /// Whether `member` runs: it must apply, and inside a shard it must
+    /// be shard-local.
+    fn admits(&self, member: &dyn Solver) -> bool {
+        (matches!(self, Check::Problem(_)) || member.shard_local()) && member.applies(self.ir())
+    }
+}
+
+/// One member's line of a run: its report entry plus the verified
+/// candidate (solution, cost) it produced, if any.
+struct Slot {
+    report: MemberReport,
+    candidate: Option<(Solution, f64)>,
+}
+
+impl Slot {
+    /// A member's line with zeroed wall-clock and tick meters: members
+    /// that did not run, and members run inside a shard. [`metered`]
+    /// fills the meters in for the others.
+    fn unmetered(
+        name: &'static str,
+        guarantee: Guarantee,
+        (status, candidate): (MemberStatus, Option<(Solution, f64)>),
+    ) -> Slot {
+        Slot {
+            report: MemberReport {
+                name,
+                guarantee,
+                status,
+                micros: 0,
+                ticks: 0,
+                pool_ticks: 0,
+            },
+            candidate,
+        }
+    }
+}
+
 impl Portfolio {
     /// An empty chain for the given objective.
     pub fn new(objective: Objective) -> Self {
@@ -179,7 +271,9 @@ impl Portfolio {
     /// polynomial cases first (single_query, dp_tree), then the forest
     /// approximations (lowdeg_tree, primal_dual), then the general-case
     /// certified rounding (lp_round), the Claim 1 reduction (general),
-    /// and the greedy last resort.
+    /// and the greedy last resort. This order — restricted to the
+    /// [shard-local](Solver::shard_local) members — is also the
+    /// per-shard chain of the sharded path.
     pub fn standard() -> Self {
         Portfolio::new(Objective::Standard)
             .with(SingleQuerySolver)
@@ -198,6 +292,15 @@ impl Portfolio {
         Portfolio::new(Objective::Balanced)
             .with(PrimalDualBalancedSolver)
             .with(GeneralBalancedSolver)
+    }
+
+    /// The built-in chain for `objective`: [`Portfolio::standard`] or
+    /// [`Portfolio::balanced`].
+    pub fn for_objective(objective: Objective) -> Self {
+        match objective {
+            Objective::Standard => Portfolio::standard(),
+            Objective::Balanced => Portfolio::balanced(),
+        }
     }
 
     /// Append a member. Panics if its objective differs from the
@@ -227,7 +330,7 @@ impl Portfolio {
     /// order until one produces a solution that passes verification;
     /// later members are reported as [`MemberStatus::NotReached`].
     pub fn solve(&self, problem: &Problem, budget: &Budget) -> Result<PortfolioOutcome, CoreError> {
-        self.run(problem, budget, true)
+        self.dispatch(problem, budget, Strategy::First)
     }
 
     /// Run **every** applicable member and return the cheapest verified
@@ -237,7 +340,68 @@ impl Portfolio {
         problem: &Problem,
         budget: &Budget,
     ) -> Result<PortfolioOutcome, CoreError> {
-        self.run(problem, budget, false)
+        self.dispatch(problem, budget, Strategy::Best)
+    }
+
+    /// Race **every** applicable member on its own thread and return the
+    /// cheapest verified solution — the parallel sibling of
+    /// [`Portfolio::solve_best`].
+    ///
+    /// Every member draws from `budget`'s shared atomic pool through its
+    /// own [`Budget::share`] handle. When a member's output verifies
+    /// (and the pool is not exhausted), it cancels all members whose
+    /// guarantee is weaker or equal; the cancelled members observe the
+    /// token at their next checkpoint and unwind with
+    /// [`CoreError::Cancelled`], reported as
+    /// [`MemberStatus::Cancelled`]. Members with strictly stronger
+    /// guarantees keep running, so the final choice — minimum verified
+    /// cost, chain order breaking ties — matches the sequential
+    /// `solve_best` cost on instances where the strongest applicable
+    /// member completes (an exact member's verified run *is* the
+    /// optimum, and every other verified candidate costs at least that).
+    pub fn solve_racing(
+        &self,
+        problem: &Problem,
+        budget: &Budget,
+    ) -> Result<PortfolioOutcome, CoreError> {
+        self.dispatch(problem, budget, Strategy::Race)
+    }
+
+    /// Solve by connected-component decomposition: partition the
+    /// compiled instance into independent shards, run **this chain's**
+    /// [shard-local](Solver::shard_local) members first-verified-wins
+    /// on each shard through the work-stealing scheduler (every shard
+    /// task drawing from `budget`'s shared pool), and merge the
+    /// certified per-shard solutions (`crate::shard`, DESIGN.md §15).
+    /// The report holds one `"sharded"` pseudo-member.
+    ///
+    /// Unlike the other strategies, verification composes from the
+    /// per-shard checks (each shard's output is feasibility-checked and
+    /// cost-evaluated on its own IR, then the merge re-checks
+    /// feasibility and re-evaluates cost on the full IR); the merged
+    /// guarantee is the weakest per-shard guarantee. A drained budget
+    /// degrades the affected shards to their always-feasible incumbents
+    /// instead of failing the run — inspect the report's guarantee (it
+    /// weakens to `Heuristic`) to detect degradation. A shard on which
+    /// no member verifies for any other reason fails the run with a
+    /// typed error.
+    pub fn solve_sharded(
+        &self,
+        problem: &Problem,
+        budget: &Budget,
+    ) -> Result<PortfolioOutcome, CoreError> {
+        self.dispatch(problem, budget, Strategy::Shard)
+    }
+
+    /// The per-shard chain: `First` over the shard-local members,
+    /// verified against the shard IR. No compile charge — the shard IR
+    /// is assembled by the partitioner, not compiled.
+    pub(crate) fn solve_shard(
+        &self,
+        ir: &CompiledInstance,
+        budget: &Budget,
+    ) -> Result<PortfolioOutcome, CoreError> {
+        fold(self.run_chain(Check::Shard(ir), budget, true), budget)
     }
 
     /// Compile the shared IR exactly once, up front: every member,
@@ -266,111 +430,76 @@ impl Portfolio {
         Ok((compile_micros, compile_ticks))
     }
 
-    fn run(
+    /// The one execution core behind every public entry point.
+    fn dispatch(
         &self,
         problem: &Problem,
         budget: &Budget,
-        stop_at_first: bool,
+        strategy: Strategy,
     ) -> Result<PortfolioOutcome, CoreError> {
         let (compile_micros, compile_ticks) = self.compile_and_charge(problem, budget)?;
-
-        let mut report: Vec<MemberReport> = Vec::with_capacity(self.members.len());
-        let mut best: Option<(Solution, f64, &'static str)> = None;
-
-        for member in &self.members {
-            let guarantee = member.guarantee(problem);
-            let started = now();
-            let pool_before = budget.used();
-            // A fresh share per member: `own_used` then meters exactly
-            // what this member charged, even if callers reuse the pool.
-            let handle = budget.share_labeled(member.name());
-            let status = if stop_at_first && best.is_some() {
-                MemberStatus::NotReached
-            } else if !member.applies(problem) {
-                MemberStatus::Skipped
-            } else {
-                metrics::MEMBERS_RUN.inc();
-                let span = handle.span(Phase::Member, member.name());
-                let (status, candidate) = self.run_member(member.as_ref(), problem, &handle);
-                span.end_with(status_label(&status));
-                if let Some((solution, cost)) = candidate {
-                    if best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
-                        best = Some((solution, cost, member.name()));
-                    }
-                }
-                status
-            };
-            let ran = !matches!(status, MemberStatus::Skipped | MemberStatus::NotReached);
-            let micros = if ran {
-                let micros = started.elapsed().as_micros() as u64;
-                metrics::MEMBER_MICROS.observe(micros);
-                micros
-            } else {
-                0
-            };
-            report.push(MemberReport {
-                name: member.name(),
-                guarantee,
-                status: finalize_status(status),
-                micros,
-                ticks: if ran { handle.own_used() } else { 0 },
-                pool_ticks: if ran {
-                    budget.used().saturating_sub(pool_before)
-                } else {
-                    0
-                },
-            });
-        }
-
-        match best {
-            Some((solution, cost, winner)) => Ok(PortfolioOutcome {
-                solution,
-                cost,
-                winner,
-                report,
-                compile_micros,
-                compile_ticks,
-            }),
-            None => Err(self.failure_error(budget, &report)),
-        }
+        let check = Check::Problem(problem);
+        let outcome = match strategy {
+            Strategy::First => fold(self.run_chain(check, budget, true), budget),
+            Strategy::Best => fold(self.run_chain(check, budget, false), budget),
+            Strategy::Race => fold(self.race(check, budget), budget),
+            Strategy::Shard => fold([self.run_sharded(problem, budget)], budget),
+        }?;
+        Ok(PortfolioOutcome {
+            compile_micros,
+            compile_ticks,
+            ..outcome
+        })
     }
 
-    /// Race **every** applicable member on its own thread and return the
-    /// cheapest verified solution — the parallel sibling of
-    /// [`Portfolio::solve_best`].
-    ///
-    /// Every member draws from `budget`'s shared atomic pool through its
-    /// own [`Budget::share`] handle. When a member's output verifies
-    /// (and the pool is not exhausted), it cancels all members whose
-    /// guarantee is weaker or equal; the cancelled members observe the
-    /// token at their next checkpoint and unwind with
-    /// [`CoreError::Cancelled`], reported as
-    /// [`MemberStatus::Cancelled`]. Members with strictly stronger
-    /// guarantees keep running, so the final choice — minimum verified
-    /// cost, chain order breaking ties — matches the sequential
-    /// `solve_best` cost on instances where the strongest applicable
-    /// member completes (an exact member's verified run *is* the
-    /// optimum, and every other verified candidate costs at least that).
-    pub fn solve_racing(
-        &self,
-        problem: &Problem,
-        budget: &Budget,
-    ) -> Result<PortfolioOutcome, CoreError> {
+    /// Members in chain order on the caller's thread, run lazily as the
+    /// fold pulls them. With `stop_at_first`, members after the first
+    /// verified one are reported as [`MemberStatus::NotReached`].
+    fn run_chain<'a>(
+        &'a self,
+        check: Check<'a>,
+        budget: &'a Budget,
+        stop_at_first: bool,
+    ) -> impl Iterator<Item = Slot> + 'a {
+        let mut verified = false;
+        self.members.iter().map(move |member| {
+            let (name, guarantee) = (member.name(), member.guarantee(check.ir()));
+            let slot = if stop_at_first && verified {
+                Slot::unmetered(name, guarantee, (MemberStatus::NotReached, None))
+            } else if !check.admits(member.as_ref()) {
+                Slot::unmetered(name, guarantee, (MemberStatus::Skipped, None))
+            } else if let Check::Shard(_) = check {
+                // Not metered one by one: the `"sharded"`
+                // pseudo-member meters the whole sweep, and
+                // per-member handles, clocks and metrics on every
+                // shard cost more than small shards' members do.
+                let ran = self.contain(member.as_ref(), check, budget);
+                Slot::unmetered(name, guarantee, ran)
+            } else {
+                // A fresh share per member: `own_used` then meters
+                // exactly what this member charged, even if callers
+                // reuse the pool.
+                let handle = budget.share_labeled(name);
+                metered(name, guarantee, &handle, || {
+                    self.contain(member.as_ref(), check, &handle)
+                })
+            };
+            verified |= slot.candidate.is_some();
+            slot
+        })
+    }
+
+    /// Every eligible member on its own scoped thread (see
+    /// [`Portfolio::solve_racing`]).
+    fn race(&self, check: Check<'_>, budget: &Budget) -> Vec<Slot> {
         metrics::RACES.inc();
-        let (compile_micros, compile_ticks) = self.compile_and_charge(problem, budget)?;
-
-        struct RaceSlot {
-            status: MemberStatus,
-            candidate: Option<(Solution, f64)>,
-            micros: u64,
-            ticks: u64,
-            pool_ticks: u64,
-        }
-
-        let n = self.members.len();
-        let guarantees: Vec<Guarantee> =
-            self.members.iter().map(|m| m.guarantee(problem)).collect();
-        let applicable: Vec<bool> = self.members.iter().map(|m| m.applies(problem)).collect();
+        let ir = check.ir();
+        let guarantees: Vec<Guarantee> = self.members.iter().map(|m| m.guarantee(ir)).collect();
+        let eligible: Vec<bool> = self
+            .members
+            .iter()
+            .map(|m| check.admits(m.as_ref()))
+            .collect();
         // One share per member, labelled with the member name so each
         // thread's trace events separate into per-member span trees. The
         // caller's own handle is never cancelled, so `budget` stays
@@ -380,221 +509,158 @@ impl Portfolio {
             .iter()
             .map(|m| budget.share_labeled(m.name()))
             .collect();
-        let mut slots: Vec<Option<RaceSlot>> = Vec::new();
-        slots.resize_with(n, || None);
+        // Ineligible members keep their `Skipped` slot; each thread
+        // overwrites its own.
+        let mut slots: Vec<Slot> = self
+            .members
+            .iter()
+            .zip(&guarantees)
+            .map(|(m, &g)| Slot::unmetered(m.name(), g, (MemberStatus::Skipped, None)))
+            .collect();
 
         sync::thread::scope(|scope| {
             for ((i, member), slot) in self.members.iter().enumerate().zip(slots.iter_mut()) {
-                if !applicable[i] {
+                if !eligible[i] {
                     continue;
                 }
-                let (handles, guarantees, applicable) = (&handles, &guarantees, &applicable);
+                let (handles, guarantees, eligible) = (&handles, &guarantees, &eligible);
                 scope.spawn(move || {
-                    metrics::MEMBERS_RUN.inc();
-                    let started = now();
-                    let pool_before = handles[i].used();
-                    let span = handles[i].span(Phase::Member, member.name());
-                    let (status, candidate) =
-                        self.run_member(member.as_ref(), problem, &handles[i]);
-                    span.end_with(status_label(&status));
-                    if candidate.is_some() && !handles[i].is_exhausted() {
+                    let handle = &handles[i];
+                    let ran = metered(member.name(), guarantees[i], handle, || {
+                        self.contain(member.as_ref(), check, handle)
+                    });
+                    if ran.candidate.is_some() && !handle.is_exhausted() {
                         // Dominance cancellation: a verified member
                         // releases everyone it dominates. Strictly
                         // stronger members race on. The cause names this
                         // member so the losers' traces can say who won.
-                        handles[i].trace(Phase::Race, Kind::Event, "verified_first", 0);
+                        handle.trace(Phase::Race, Kind::Event, "verified_first", 0);
                         let mine = guarantees[i].strength();
                         for (j, h) in handles.iter().enumerate() {
-                            if j != i && applicable[j] && guarantees[j].strength() >= mine {
+                            if j != i && eligible[j] && guarantees[j].strength() >= mine {
                                 h.cancel_with_cause(member.name());
                             }
                         }
                     }
-                    if matches!(
-                        status,
-                        MemberStatus::Failed {
-                            error: CoreError::Cancelled { .. }
-                        }
-                    ) {
+                    if ran.report.status == MemberStatus::Cancelled {
                         // Close this member's span tree with a Cancel
                         // event naming the member that requested it.
-                        let cause = handles[i].cancel_cause().unwrap_or("unknown");
-                        handles[i].trace(Phase::Cancel, Kind::Event, cause, 0);
+                        let cause = handle.cancel_cause().unwrap_or("unknown");
+                        handle.trace(Phase::Cancel, Kind::Event, cause, 0);
                     }
-                    *slot = Some(RaceSlot {
-                        status,
-                        candidate,
-                        micros: started.elapsed().as_micros() as u64,
-                        ticks: handles[i].own_used(),
-                        pool_ticks: handles[i].used().saturating_sub(pool_before),
-                    });
+                    *slot = ran;
                 });
             }
         });
-
-        let mut report: Vec<MemberReport> = Vec::with_capacity(n);
-        let mut best: Option<(Solution, f64, &'static str)> = None;
-        for (i, slot) in slots.into_iter().enumerate() {
-            let name = self.members[i].name();
-            match slot {
-                None => report.push(MemberReport {
-                    name,
-                    guarantee: guarantees[i],
-                    status: MemberStatus::Skipped,
-                    micros: 0,
-                    ticks: 0,
-                    pool_ticks: 0,
-                }),
-                Some(s) => {
-                    // Same tie-break as the sequential chain: strict `<`
-                    // keeps the earliest member on equal cost.
-                    if let Some((solution, cost)) = s.candidate {
-                        if best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
-                            best = Some((solution, cost, name));
-                        }
-                    }
-                    report.push(MemberReport {
-                        name,
-                        guarantee: guarantees[i],
-                        status: finalize_status(s.status),
-                        micros: s.micros,
-                        ticks: s.ticks,
-                        pool_ticks: s.pool_ticks,
-                    });
-                }
-            }
-        }
-
-        match best {
-            Some((solution, cost, winner)) => Ok(PortfolioOutcome {
-                solution,
-                cost,
-                winner,
-                report,
-                compile_micros,
-                compile_ticks,
-            }),
-            None => Err(self.failure_error(budget, &report)),
-        }
+        slots
     }
 
-    /// Solve by connected-component decomposition: partition the
-    /// compiled instance into independent shards, run the deterministic
-    /// per-shard chain on the work-stealing scheduler (every shard task
-    /// drawing from `budget`'s shared pool), and merge the certified
-    /// per-shard solutions (`crate::shard`, DESIGN.md §15).
-    ///
-    /// Unlike [`Portfolio::solve_racing`], verification composes from
-    /// the per-shard checks (each shard's output is feasibility-checked
-    /// and cost-evaluated on its own IR, then the merge re-checks
-    /// feasibility and re-evaluates cost on the full IR); the merged
-    /// guarantee is the weakest per-shard guarantee. A drained budget
-    /// degrades the affected shards to their always-feasible incumbents
-    /// instead of failing the run — inspect the report's guarantee (it
-    /// weakens to `Heuristic`) to detect degradation.
-    pub fn solve_sharded(
-        &self,
-        problem: &Problem,
-        budget: &Budget,
-    ) -> Result<PortfolioOutcome, CoreError> {
-        let (compile_micros, compile_ticks) = self.compile_and_charge(problem, budget)?;
-        let ir = problem.compiled_arc();
-        let started = now();
-        let pool_before = budget.used();
+    /// The `"sharded"` pseudo-member: partition, run this chain per
+    /// shard, merge. Its guarantee is the merged (weakest per-shard)
+    /// guarantee.
+    fn run_sharded(&self, problem: &Problem, budget: &Budget) -> Slot {
         let handle = budget.share_labeled("sharded");
-        let span = handle.span(Phase::Member, "sharded");
-        let out = crate::shard::solve_sharded_ir(&ir, self.objective, &handle);
-        span.end_with(if out.is_ok() { "verified" } else { "failed" });
-        let out = out?;
-        let report = vec![MemberReport {
-            name: "sharded",
-            guarantee: out.guarantee,
-            status: MemberStatus::Verified { cost: out.cost },
-            micros: started.elapsed().as_micros() as u64,
-            ticks: handle.own_used(),
-            pool_ticks: budget.used().saturating_sub(pool_before),
-        }];
-        Ok(PortfolioOutcome {
-            solution: out.solution,
-            cost: out.cost,
-            winner: "sharded",
-            report,
-            compile_micros,
-            compile_ticks,
-        })
+        let mut merged = Guarantee::Heuristic;
+        let mut slot = metered("sharded", merged, &handle, || {
+            let out = crate::shard::solve_sharded_with(self, &problem.compiled_arc(), &handle);
+            match out {
+                Ok(out) => {
+                    merged = out.guarantee;
+                    let cost = out.cost;
+                    (MemberStatus::Verified { cost }, Some((out.solution, cost)))
+                }
+                Err(error) => (MemberStatus::Failed { error }, None),
+            }
+        });
+        slot.report.guarantee = merged;
+        slot
     }
 
-    /// Run one member inside its own panic boundary, then verify its
-    /// output inside another. Returns the status plus the verified
-    /// candidate (solution, cost) when there is one.
-    fn run_member(
+    /// The containment routine every member runs through: its solve
+    /// inside one panic boundary, typed errors mapped to statuses, and
+    /// its output verified inside another. Returns the status plus the
+    /// verified candidate (solution, cost) when there is one.
+    fn contain(
         &self,
         member: &dyn Solver,
-        problem: &Problem,
+        check: Check<'_>,
         budget: &Budget,
     ) -> (MemberStatus, Option<(Solution, f64)>) {
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| member.solve(problem, budget)));
-        let solution = match outcome {
+        match panic::catch_unwind(AssertUnwindSafe(|| member.solve(check.ir(), budget))) {
+            Ok(Ok(solution)) => self.verify(check, solution, budget, member.name()),
+            // A member that unwound with a typed cancellation did not
+            // *fail*: it lost the race (or its request was cancelled).
+            Ok(Err(CoreError::Cancelled { .. })) => (MemberStatus::Cancelled, None),
+            Ok(Err(error)) => (MemberStatus::Failed { error }, None),
             Err(payload) => {
-                return (
-                    MemberStatus::Panicked {
-                        message: panic_message(payload),
-                    },
-                    None,
-                )
+                let message = panic_message(payload);
+                (MemberStatus::Panicked { message }, None)
             }
-            Ok(Err(error)) => return (MemberStatus::Failed { error }, None),
-            Ok(Ok(solution)) => solution,
-        };
-        self.verify(problem, solution, budget, member.name())
+        }
     }
 
     /// The verification contract: nothing is accepted on a member's word.
     ///
     /// - standard objective: the solution must eliminate every `ΔV` tuple
-    ///   (`is_feasible`) **and** survive ground-truth re-materialization
-    ///   (`verify_by_reevaluation`);
+    ///   (`is_feasible`) **and**, on a whole instance, survive
+    ///   ground-truth re-materialization (`verify_by_reevaluation`, whose
+    ///   re-evaluated side-effect is the verified cost);
     /// - balanced objective: every `ΔD` is feasible by definition, so
     ///   only the re-materialization cross-check applies.
     ///
-    /// Both checks run inside `catch_unwind`: corrupt tuple ids or a
+    /// Inside a shard, feasibility and cost are evaluated on the shard
+    /// IR; the merge re-checks the union on the full IR.
+    ///
+    /// The checks run inside `catch_unwind`: corrupt tuple ids or a
     /// provenance disagreement panic in verification, and that panic must
     /// be contained exactly like a member's own.
     fn verify(
         &self,
-        problem: &Problem,
+        check: Check<'_>,
         solution: Solution,
         budget: &Budget,
         member: &'static str,
     ) -> (MemberStatus, Option<(Solution, f64)>) {
-        metrics::VERIFICATIONS.inc();
+        // Shard verifications are not metered, like shard members.
+        let top_level = matches!(check, Check::Problem(_));
+        if top_level {
+            metrics::VERIFICATIONS.inc();
+        }
         let span = budget.span(Phase::Verify, member);
         // Stale-IR guard: the index the member solved against must
         // carry the problem's current mutation generation. A mismatch
         // means some caller installed or cached an IR across a
         // mutation; accepting a verification performed against it
         // would certify a solution for a different ΔV.
-        if let Err(error) = problem.verify_compiled(problem.compiled()) {
-            span.end_with("stale_compiled");
-            return (MemberStatus::Failed { error }, None);
-        }
-        let verify_start = now();
-        let objective = self.objective;
-        let verified = panic::catch_unwind(AssertUnwindSafe(|| {
-            let feasible = match objective {
-                Objective::Standard => solution.is_feasible(problem),
-                Objective::Balanced => true,
-            };
-            if !feasible {
-                return None;
+        if let Check::Problem(problem) = check {
+            if let Err(error) = problem.verify_compiled(problem.compiled()) {
+                span.end_with("stale_compiled");
+                return (MemberStatus::Failed { error }, None);
             }
-            solution.verify_by_reevaluation(problem);
-            Some(match objective {
-                Objective::Standard => solution.side_effect(problem),
-                Objective::Balanced => solution.balanced_cost(problem),
+        }
+        let verify_start = top_level.then(now);
+        let standard = self.objective == Objective::Standard;
+        let verified = panic::catch_unwind(AssertUnwindSafe(|| {
+            let feasible = match check {
+                Check::Problem(problem) => solution.is_feasible(problem),
+                Check::Shard(ir) => ir.is_feasible_of(&solution),
+            };
+            (!standard || feasible).then(|| match check {
+                Check::Problem(problem) => {
+                    let side_effect = solution.verify_by_reevaluation(problem);
+                    if standard {
+                        side_effect
+                    } else {
+                        solution.balanced_cost(problem)
+                    }
+                }
+                Check::Shard(ir) if standard => ir.side_effect_of(&solution),
+                Check::Shard(ir) => ir.balanced_cost_of(&solution),
             })
         }));
-        metrics::VERIFY_MICROS.observe(verify_start.elapsed().as_micros() as u64);
+        if let Some(start) = verify_start {
+            metrics::VERIFY_MICROS.observe(start.elapsed().as_micros() as u64);
+        }
         let result = match verified {
             Err(payload) => (
                 MemberStatus::RejectedVerification {
@@ -614,28 +680,82 @@ impl Portfolio {
         span.end_with(status_label(&result.0));
         result
     }
+}
 
-    /// No member produced a verified solution: prefer the budget error
-    /// when the budget drained (the caller can retry with more), then the
-    /// first member's typed error, then a generic infeasibility.
-    fn failure_error(&self, budget: &Budget, report: &[MemberReport]) -> CoreError {
-        if budget.is_exhausted() {
-            return budget.error();
-        }
-        for r in report {
-            if let MemberStatus::Failed { error } = &r.status {
-                return error.clone();
+/// Run one member (or the sharded pseudo-member) on its own `handle`:
+/// its span, wall-clock and tick meters around `run`.
+fn metered(
+    name: &'static str,
+    guarantee: Guarantee,
+    handle: &Budget,
+    run: impl FnOnce() -> (MemberStatus, Option<(Solution, f64)>),
+) -> Slot {
+    metrics::MEMBERS_RUN.inc();
+    let started = now();
+    let pool_before = handle.used();
+    let span = handle.span(Phase::Member, name);
+    let mut slot = Slot::unmetered(name, guarantee, run());
+    span.end_with(status_label(&slot.report.status));
+    let report = &mut slot.report;
+    report.micros = started.elapsed().as_micros() as u64;
+    report.ticks = handle.own_used();
+    report.pool_ticks = handle.used().saturating_sub(pool_before);
+    metrics::MEMBER_MICROS.observe(report.micros);
+    slot
+}
+
+/// The one fold from per-member slots to the outcome: the report in
+/// chain order plus the cheapest verified candidate, strict `<` keeping
+/// the earliest member on equal cost; with no verified candidate,
+/// [`failure_error`].
+fn fold(
+    slots: impl IntoIterator<Item = Slot>,
+    budget: &Budget,
+) -> Result<PortfolioOutcome, CoreError> {
+    let slots = slots.into_iter();
+    let mut report = Vec::with_capacity(slots.size_hint().0);
+    let mut best: Option<(Solution, f64, &'static str)> = None;
+    for slot in slots {
+        if let Some((solution, cost)) = slot.candidate {
+            if best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
+                best = Some((solution, cost, slot.report.name));
             }
         }
-        CoreError::Infeasible {
-            reason: format!(
-                "no portfolio member produced a verifiable solution ({} members tried)",
-                report
-                    .iter()
-                    .filter(|r| !matches!(r.status, MemberStatus::Skipped))
-                    .count()
-            ),
+        report.push(slot.report);
+    }
+    match best {
+        Some((solution, cost, winner)) => Ok(PortfolioOutcome {
+            solution,
+            cost,
+            winner,
+            report,
+            compile_micros: 0,
+            compile_ticks: 0,
+        }),
+        None => Err(failure_error(budget, &report)),
+    }
+}
+
+/// No member produced a verified solution: prefer the budget error when
+/// the budget drained (the caller can retry with more), then the first
+/// member's typed error, then a generic infeasibility.
+fn failure_error(budget: &Budget, report: &[MemberReport]) -> CoreError {
+    if budget.is_exhausted() {
+        return budget.error();
+    }
+    for r in report {
+        if let MemberStatus::Failed { error } = &r.status {
+            return error.clone();
         }
+    }
+    CoreError::Infeasible {
+        reason: format!(
+            "no portfolio member produced a verifiable solution ({} members tried)",
+            report
+                .iter()
+                .filter(|r| !matches!(r.status, MemberStatus::Skipped))
+                .count()
+        ),
     }
 }
 
@@ -650,24 +770,9 @@ fn status_label(status: &MemberStatus) -> &'static str {
         MemberStatus::Panicked { .. } => "panicked",
         MemberStatus::Cancelled => "cancelled",
         MemberStatus::Failed {
-            error: CoreError::Cancelled { .. },
-        } => "cancelled",
-        MemberStatus::Failed {
             error: CoreError::BudgetExhausted { .. },
         } => "budget_exhausted",
         MemberStatus::Failed { .. } => "failed",
-    }
-}
-
-/// Collapse a typed cancellation into its dedicated status: a member
-/// that unwound with [`CoreError::Cancelled`] did not *fail*, it lost
-/// the race.
-fn finalize_status(status: MemberStatus) -> MemberStatus {
-    match status {
-        MemberStatus::Failed {
-            error: CoreError::Cancelled { .. },
-        } => MemberStatus::Cancelled,
-        other => other,
     }
 }
 

@@ -4,14 +4,20 @@
 //! applies to an instance, read off its guarantee, and run it under a
 //! cooperative [`Budget`].
 //!
+//! Every method reads the compiled IR ([`CompiledInstance`]), never the
+//! `Problem` behind it: the portfolio hands each member the one shared
+//! compile, and the sharded path hands each shard-local member a
+//! component's own IR. Verification against the `Problem` is the
+//! portfolio's job, not the member's.
+//!
 //! Adapters for solvers whose hot loops are budget-aware (branch and
 //! bound, simplex, local search) thread the budget all the way down;
-//! polynomial-time solvers charge a coarse instance-sized amount up
-//! front, which keeps tick accounting meaningful (a drained budget skips
-//! them) without instrumenting loops that cannot run away.
+//! polynomial-time solvers charge a coarse amount sized by the IR they
+//! are given up front, which keeps tick accounting meaningful (a drained
+//! budget skips them) without instrumenting loops that cannot run away.
 
 use crate::error::CoreError;
-use crate::problem::Problem;
+use crate::ir::CompiledInstance;
 use crate::solution::Solution;
 use crate::solvers::local_search::{self, LocalSearchConfig, Objective};
 use crate::solvers::{
@@ -58,12 +64,13 @@ impl fmt::Display for Guarantee {
 }
 
 /// A portfolio member: a named algorithm with an applicability test, a
-/// guarantee, and a budgeted solve.
+/// guarantee, and a budgeted solve, all over the compiled IR.
 ///
 /// `Send + Sync` is part of the contract: the racing portfolio runs
-/// members concurrently against the shared compiled IR, so a member must
-/// be shareable across threads (all members here are stateless or hold
-/// only plain config).
+/// members concurrently against the shared compiled IR, and the sharded
+/// path runs them on scheduler workers, so a member must be shareable
+/// across threads (all members here are stateless or hold only plain
+/// config).
 pub trait Solver: Send + Sync {
     /// Stable short name, used in reports and error messages.
     fn name(&self) -> &'static str;
@@ -74,13 +81,27 @@ pub trait Solver: Send + Sync {
         Objective::Standard
     }
 
-    /// Whether this solver's structural precondition holds on `problem`.
-    /// The portfolio skips members that do not apply.
-    fn applies(&self, problem: &Problem) -> bool;
+    /// Whether this solver may run on one connected-component shard of
+    /// an instance (`crate::shard`) with an answer that unions, across
+    /// the shards, to a valid whole-instance answer under the same
+    /// guarantee. True for members that read only the IR's active parts
+    /// and decide per component; the sharded path skips the others.
+    fn shard_local(&self) -> bool {
+        true
+    }
+
+    /// Whether this solver's structural precondition holds on `ir`.
+    /// The portfolio skips members that do not apply. Default: always.
+    fn applies(&self, _ir: &CompiledInstance) -> bool {
+        true
+    }
 
     /// The guarantee on instances where [`applies`](Solver::applies) is
-    /// true (possibly instance-dependent, e.g. `2√‖V‖`).
-    fn guarantee(&self, problem: &Problem) -> Guarantee;
+    /// true (possibly instance-dependent, e.g. `2√‖V‖`). Default: no
+    /// proven ratio.
+    fn guarantee(&self, _ir: &CompiledInstance) -> Guarantee {
+        Guarantee::Heuristic
+    }
 
     /// Solve under the budget. Implementations charge the budget at
     /// checkpoints and return [`CoreError::BudgetExhausted`] (rather than
@@ -90,18 +111,17 @@ pub trait Solver: Send + Sync {
     /// cancellation: a cancelled handle makes `charge` fail with
     /// [`CoreError::Cancelled`], which implementations propagate the
     /// same way.
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError>;
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError>;
 }
 
-/// Coarse up-front charge for polynomial-time solvers: proportional to
-/// instance size, so a drained budget refuses them instead of running
-/// them for free.
-fn coarse_charge(problem: &Problem, budget: &Budget) -> Result<(), CoreError> {
-    budget.charge((problem.norm_v() + problem.norm_delta()) as u64 + 1)
-}
-
-fn forest_case(problem: &Problem) -> bool {
-    problem.compiled().forest_case()
+/// Coarse up-front charge for polynomial-time solvers, sized by the
+/// active parts of the IR the member is given (`‖𝒞‖ + ‖ΔV‖ + 1`), so a
+/// drained budget refuses them instead of running them for free. Not
+/// `‖V‖`: a shard IR shares the whole instance's view layer, and
+/// charging it once per shard would drain a ticked budget many times
+/// over.
+fn coarse_charge(ir: &CompiledInstance, budget: &Budget) -> Result<(), CoreError> {
+    budget.charge((ir.num_bases() + ir.num_demands()) as u64 + 1)
 }
 
 /// §III single-query single-deletion exact algorithm (Cong et al.).
@@ -111,15 +131,15 @@ impl Solver for SingleQuerySolver {
     fn name(&self) -> &'static str {
         "single_query"
     }
-    fn applies(&self, problem: &Problem) -> bool {
-        problem.queries().len() == 1 && problem.norm_delta() == 1
+    fn applies(&self, ir: &CompiledInstance) -> bool {
+        ir.num_queries() == 1 && ir.num_demands() == 1
     }
-    fn guarantee(&self, _problem: &Problem) -> Guarantee {
+    fn guarantee(&self, _ir: &CompiledInstance) -> Guarantee {
         Guarantee::Exact
     }
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError> {
-        coarse_charge(problem, budget)?;
-        single_query::solve_single_deletion(problem.compiled())
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError> {
+        coarse_charge(ir, budget)?;
+        single_query::solve_single_deletion(ir)
     }
 }
 
@@ -130,15 +150,20 @@ impl Solver for DpTreeSolver {
     fn name(&self) -> &'static str {
         "dp_tree"
     }
-    fn applies(&self, problem: &Problem) -> bool {
-        dp_tree::applies(problem.compiled())
+    /// The DP walks the whole-`‖V‖` static layer, so on a shard IR it
+    /// would solve the full instance once per shard.
+    fn shard_local(&self) -> bool {
+        false
     }
-    fn guarantee(&self, _problem: &Problem) -> Guarantee {
+    fn applies(&self, ir: &CompiledInstance) -> bool {
+        dp_tree::applies(ir)
+    }
+    fn guarantee(&self, _ir: &CompiledInstance) -> Guarantee {
         Guarantee::Exact
     }
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError> {
-        coarse_charge(problem, budget)?;
-        dp_tree::solve(problem.compiled())
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError> {
+        coarse_charge(ir, budget)?;
+        dp_tree::solve(ir)
     }
 }
 
@@ -149,15 +174,20 @@ impl Solver for LowDegTreeSolver {
     fn name(&self) -> &'static str {
         "lowdeg_tree"
     }
-    fn applies(&self, problem: &Problem) -> bool {
-        forest_case(problem)
+    /// The τ-sweep picks one threshold for the whole instance, so
+    /// per-shard answers need not union to the whole-instance answer.
+    fn shard_local(&self) -> bool {
+        false
     }
-    fn guarantee(&self, problem: &Problem) -> Guarantee {
-        Guarantee::Ratio(lowdeg_tree::ratio_bound(problem.compiled()))
+    fn applies(&self, ir: &CompiledInstance) -> bool {
+        ir.forest_case()
     }
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError> {
-        coarse_charge(problem, budget)?;
-        lowdeg_tree::solve(problem.compiled())
+    fn guarantee(&self, ir: &CompiledInstance) -> Guarantee {
+        Guarantee::Ratio(lowdeg_tree::ratio_bound(ir))
+    }
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError> {
+        coarse_charge(ir, budget)?;
+        lowdeg_tree::solve(ir)
     }
 }
 
@@ -168,15 +198,15 @@ impl Solver for PrimalDualSolver {
     fn name(&self) -> &'static str {
         "primal_dual"
     }
-    fn applies(&self, problem: &Problem) -> bool {
-        forest_case(problem)
+    fn applies(&self, ir: &CompiledInstance) -> bool {
+        ir.forest_case()
     }
-    fn guarantee(&self, problem: &Problem) -> Guarantee {
-        Guarantee::Ratio(problem.l().max(1) as f64)
+    fn guarantee(&self, ir: &CompiledInstance) -> Guarantee {
+        Guarantee::Ratio(ir.l().max(1) as f64)
     }
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError> {
-        coarse_charge(problem, budget)?;
-        primal_dual::solve_default(problem.compiled())
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError> {
+        coarse_charge(ir, budget)?;
+        primal_dual::solve_default(ir)
     }
 }
 
@@ -188,14 +218,11 @@ impl Solver for LpRoundSolver {
     fn name(&self) -> &'static str {
         "lp_round"
     }
-    fn applies(&self, _problem: &Problem) -> bool {
-        true
+    fn guarantee(&self, ir: &CompiledInstance) -> Guarantee {
+        Guarantee::Ratio(ir.l().max(1) as f64)
     }
-    fn guarantee(&self, problem: &Problem) -> Guarantee {
-        Guarantee::Ratio(problem.l().max(1) as f64)
-    }
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError> {
-        lp_round::solve_budgeted(problem.compiled(), budget)
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError> {
+        lp_round::solve_budgeted(ir, budget)
     }
 }
 
@@ -206,15 +233,12 @@ impl Solver for GeneralSolver {
     fn name(&self) -> &'static str {
         "general"
     }
-    fn applies(&self, _problem: &Problem) -> bool {
-        true
+    fn guarantee(&self, ir: &CompiledInstance) -> Guarantee {
+        Guarantee::Ratio(general::ratio_bound(ir))
     }
-    fn guarantee(&self, problem: &Problem) -> Guarantee {
-        Guarantee::Ratio(general::ratio_bound(problem.compiled()))
-    }
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError> {
-        coarse_charge(problem, budget)?;
-        general::solve(problem.compiled())
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError> {
+        coarse_charge(ir, budget)?;
+        general::solve(ir)
     }
 }
 
@@ -225,15 +249,9 @@ impl Solver for GreedySolver {
     fn name(&self) -> &'static str {
         "greedy"
     }
-    fn applies(&self, _problem: &Problem) -> bool {
-        true
-    }
-    fn guarantee(&self, _problem: &Problem) -> Guarantee {
-        Guarantee::Heuristic
-    }
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError> {
-        coarse_charge(problem, budget)?;
-        general::solve_greedy(problem.compiled())
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError> {
+        coarse_charge(ir, budget)?;
+        general::solve_greedy(ir)
     }
 }
 
@@ -250,14 +268,11 @@ impl Solver for ExactSolver {
     fn name(&self) -> &'static str {
         "exact"
     }
-    fn applies(&self, _problem: &Problem) -> bool {
-        true
-    }
-    fn guarantee(&self, _problem: &Problem) -> Guarantee {
+    fn guarantee(&self, _ir: &CompiledInstance) -> Guarantee {
         Guarantee::Exact
     }
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError> {
-        let out = exact::solve_budgeted(problem.compiled(), self.config, budget);
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError> {
+        let out = exact::solve_budgeted(ir, self.config, budget);
         match out.solution {
             Some(sol) => Ok(sol),
             None if budget.is_exhausted() || budget.is_cancelled() => Err(budget.error()),
@@ -276,15 +291,8 @@ impl Solver for LocalSearchSolver {
     fn name(&self) -> &'static str {
         "local_search"
     }
-    fn applies(&self, _problem: &Problem) -> bool {
-        true
-    }
-    fn guarantee(&self, _problem: &Problem) -> Guarantee {
-        Guarantee::Heuristic
-    }
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError> {
-        coarse_charge(problem, budget)?;
-        let ir = problem.compiled();
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError> {
+        coarse_charge(ir, budget)?;
         let start = general::solve_greedy(ir)?;
         Ok(local_search::improve_budgeted(
             ir,
@@ -304,15 +312,9 @@ impl Solver for SourceGreedySolver {
     fn name(&self) -> &'static str {
         "source_greedy"
     }
-    fn applies(&self, _problem: &Problem) -> bool {
-        true
-    }
-    fn guarantee(&self, _problem: &Problem) -> Guarantee {
-        Guarantee::Heuristic
-    }
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError> {
-        coarse_charge(problem, budget)?;
-        Ok(source::solve_greedy(problem.compiled()))
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError> {
+        coarse_charge(ir, budget)?;
+        Ok(source::solve_greedy(ir))
     }
 }
 
@@ -331,14 +333,11 @@ impl Solver for ExactBalancedSolver {
     fn objective(&self) -> Objective {
         Objective::Balanced
     }
-    fn applies(&self, _problem: &Problem) -> bool {
-        true
-    }
-    fn guarantee(&self, _problem: &Problem) -> Guarantee {
+    fn guarantee(&self, _ir: &CompiledInstance) -> Guarantee {
         Guarantee::Exact
     }
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError> {
-        let out = exact::solve_balanced_budgeted(problem.compiled(), self.config, budget);
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError> {
+        let out = exact::solve_balanced_budgeted(ir, self.config, budget);
         // The balanced reduction always yields a solution (the empty
         // selection is feasible); proven_optimal may be false under
         // truncation, which verification tolerates.
@@ -356,16 +355,12 @@ impl Solver for PrimalDualBalancedSolver {
     fn objective(&self) -> Objective {
         Objective::Balanced
     }
-    fn applies(&self, problem: &Problem) -> bool {
-        forest_case(problem)
+    fn applies(&self, ir: &CompiledInstance) -> bool {
+        ir.forest_case()
     }
-    fn guarantee(&self, _problem: &Problem) -> Guarantee {
-        Guarantee::Heuristic
-    }
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError> {
-        coarse_charge(problem, budget)?;
-        primal_dual_balanced::solve_balanced(problem.compiled(), &Default::default())
-            .map(|o| o.solution)
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError> {
+        coarse_charge(ir, budget)?;
+        primal_dual_balanced::solve_balanced(ir, &Default::default()).map(|o| o.solution)
     }
 }
 
@@ -379,15 +374,9 @@ impl Solver for GeneralBalancedSolver {
     fn objective(&self) -> Objective {
         Objective::Balanced
     }
-    fn applies(&self, _problem: &Problem) -> bool {
-        true
-    }
-    fn guarantee(&self, _problem: &Problem) -> Guarantee {
-        Guarantee::Heuristic
-    }
-    fn solve(&self, problem: &Problem, budget: &Budget) -> Result<Solution, CoreError> {
-        coarse_charge(problem, budget)?;
-        Ok(general::solve_balanced(problem.compiled()))
+    fn solve(&self, ir: &CompiledInstance, budget: &Budget) -> Result<Solution, CoreError> {
+        coarse_charge(ir, budget)?;
+        Ok(general::solve_balanced(ir))
     }
 }
 
@@ -413,10 +402,11 @@ mod tests {
     #[test]
     fn applicability_matches_classification() {
         let star = star_problem(4, &[0, 2]); // pivot forest
-        assert!(DpTreeSolver.applies(&star));
-        assert!(LowDegTreeSolver.applies(&star));
-        assert!(!SingleQuerySolver.applies(&star));
-        assert!(GeneralSolver.applies(&star));
+        let ir = star.compiled();
+        assert!(DpTreeSolver.applies(ir));
+        assert!(LowDegTreeSolver.applies(ir));
+        assert!(!SingleQuerySolver.applies(ir));
+        assert!(GeneralSolver.applies(ir));
     }
 
     #[test]
@@ -434,9 +424,9 @@ mod tests {
             Box::new(LocalSearchSolver),
             Box::new(SourceGreedySolver),
         ];
-        for m in members.iter().filter(|m| m.applies(&p)) {
+        for m in members.iter().filter(|m| m.applies(p.compiled())) {
             let sol = m
-                .solve(&p, &budget)
+                .solve(p.compiled(), &budget)
                 .unwrap_or_else(|e| panic!("{} failed on an applicable instance: {e}", m.name()));
             assert!(sol.is_feasible(&p), "{} returned infeasible", m.name());
             assert_eq!(m.objective(), Objective::Standard);
@@ -447,7 +437,7 @@ mod tests {
     fn drained_budget_refuses_poly_solvers() {
         let p = chain_problem(6, 3, &[1, 3]);
         let budget = Budget::with_ticks(0);
-        let err = GreedySolver.solve(&p, &budget).unwrap_err();
+        let err = GreedySolver.solve(p.compiled(), &budget).unwrap_err();
         assert!(matches!(err, CoreError::BudgetExhausted { .. }));
     }
 
@@ -456,7 +446,7 @@ mod tests {
         let p = chain_problem(8, 3, &[1, 4, 6]);
         for ticks in [1, 64, 256, 4096] {
             let budget = Budget::with_ticks(ticks);
-            match ExactSolver::default().solve(&p, &budget) {
+            match ExactSolver::default().solve(p.compiled(), &budget) {
                 Ok(sol) => assert!(sol.is_feasible(&p)),
                 Err(e) => assert!(matches!(e, CoreError::BudgetExhausted { .. })),
             }

@@ -12,13 +12,17 @@
 //! into a `max_c α_c`-approximation — the merged [`Guarantee`] is the
 //! *weakest* per-shard guarantee, by [`Guarantee::strength`].
 //!
-//! The per-shard chain ([`solve_component`]) is the standard
-//! portfolio's fallback chain restricted to members that read only the
-//! shard's *active parts* — `dp_tree` walks the shared whole-`V`
-//! static layer and would silently solve the full instance per shard,
-//! so it is excluded. The chain is run sequentially per shard in
-//! strength order (parallelism comes from racing *shards*, not members
-//! within a shard), which also makes the sharded path deterministic:
+//! The per-shard chain is the portfolio's own chain: each shard runs
+//! [`Portfolio::solve_sharded`]'s members first-verified-wins, in chain
+//! order, restricted to the [shard-local](crate::runtime::Solver::shard_local)
+//! ones — `dp_tree` walks the shared whole-`V` static layer, and
+//! `lowdeg_tree` picks one τ threshold for the whole instance, so both
+//! opt out. Each member goes through the portfolio's containment
+//! routine (panic boundary, typed-error mapping, verification against
+//! the shard IR). [`solve_component`] and [`solve_sharded_ir`] run the
+//! built-in chain for an objective. The chain runs sequentially per
+//! shard (parallelism comes from racing *shards*, not members within a
+//! shard), which also makes the sharded path deterministic:
 //! `tests/shard_equivalence.rs` asserts byte-equality against the same
 //! chain applied to the whole instance as one shard.
 //!
@@ -40,13 +44,9 @@ use crate::error::CoreError;
 use crate::ir::CompiledInstance;
 use crate::runtime::metrics;
 use crate::runtime::sync;
-use crate::runtime::{Budget, Guarantee};
+use crate::runtime::{Budget, Guarantee, Portfolio};
 use crate::solution::Solution;
 use crate::solvers::local_search::Objective;
-use crate::solvers::{
-    general, lowdeg_tree, lp_round, primal_dual, primal_dual_balanced, single_query,
-};
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::sync::Mutex;
 
@@ -86,56 +86,6 @@ pub struct ShardedOutcome {
     pub per_shard: Vec<ShardSolve>,
 }
 
-/// Run one chain member under containment: coarse budget charge, panic
-/// boundary, feasibility + finite-cost verification against the shard
-/// IR. `Ok(None)` means "try the next member"; `Err` carries a budget
-/// refusal (exhaustion/cancellation) that the caller turns into the
-/// degraded incumbent.
-fn attempt(
-    ir: &CompiledInstance,
-    budget: &Budget,
-    objective: Objective,
-    name: &'static str,
-    guarantee: Guarantee,
-    solve: &dyn Fn() -> Result<Solution, CoreError>,
-) -> Result<Option<ShardSolve>, CoreError> {
-    budget.checkpoint()?;
-    budget.charge((ir.num_bases() + ir.num_demands()) as u64 + 1)?;
-    let outcome = panic::catch_unwind(AssertUnwindSafe(solve));
-    let solution = match outcome {
-        Ok(Ok(solution)) => solution,
-        Ok(Err(e @ (CoreError::BudgetExhausted { .. } | CoreError::Cancelled { .. }))) => {
-            return Err(e)
-        }
-        // Typed failure or contained panic: fall through the chain.
-        Ok(Err(_)) | Err(_) => return Ok(None),
-    };
-    let verified = panic::catch_unwind(AssertUnwindSafe(|| {
-        let feasible = match objective {
-            Objective::Standard => ir.is_feasible_of(&solution),
-            Objective::Balanced => true,
-        };
-        if !feasible {
-            return None;
-        }
-        let cost = match objective {
-            Objective::Standard => ir.side_effect_of(&solution),
-            Objective::Balanced => ir.balanced_cost_of(&solution),
-        };
-        cost.is_finite().then_some(cost)
-    }));
-    Ok(match verified {
-        Ok(Some(cost)) => Some(ShardSolve {
-            solution,
-            cost,
-            guarantee,
-            member: name,
-            degraded: false,
-        }),
-        _ => None,
-    })
-}
-
 /// Always-feasible fallback when the budget drains mid-shard: delete
 /// every candidate (standard — every demand has a candidate witness,
 /// so this cuts them all) or delete nothing (balanced — every `ΔD` is
@@ -162,13 +112,25 @@ fn degraded_incumbent(ir: &CompiledInstance, objective: Objective) -> ShardSolve
     }
 }
 
-/// Solve one component shard with the deterministic fallback chain (the
-/// standard portfolio restricted to active-parts-only members, in
-/// strength order). Public so the out-of-core path and the differential
+/// Solve one component shard with the built-in chain for `objective`
+/// (see [`Portfolio::solve_sharded`] for the chain a caller's own
+/// portfolio runs). Public so the out-of-core path and the differential
 /// suite can run the exact same chain on IRs they built themselves.
 pub fn solve_component(
     ir: &CompiledInstance,
     objective: Objective,
+    budget: &Budget,
+) -> Result<ShardSolve, CoreError> {
+    component(&Portfolio::for_objective(objective), ir, budget)
+}
+
+/// One shard through `portfolio`'s shard-local members, first verified
+/// wins. A run that fails because the budget drained or was cancelled
+/// degrades to the shard's incumbent; any other failure is the shard's
+/// typed error.
+fn component(
+    portfolio: &Portfolio,
+    ir: &CompiledInstance,
     budget: &Budget,
 ) -> Result<ShardSolve, CoreError> {
     metrics::SHARD_SOLVES.inc();
@@ -182,112 +144,26 @@ pub fn solve_component(
             degraded: false,
         });
     }
-    let chain = |ir: &CompiledInstance| -> Result<Option<ShardSolve>, CoreError> {
-        let l = ir.l().max(1) as f64;
-        match objective {
-            Objective::Standard => {
-                if ir.num_demands() == 1 && ir.num_queries() == 1 {
-                    if let Some(s) = attempt(
-                        ir,
-                        budget,
-                        objective,
-                        "single_query",
-                        Guarantee::Exact,
-                        &|| single_query::solve_single_deletion(ir),
-                    )? {
-                        return Ok(Some(s));
-                    }
-                }
-                if ir.forest_case() {
-                    if let Some(s) = attempt(
-                        ir,
-                        budget,
-                        objective,
-                        "primal_dual",
-                        Guarantee::Ratio(l),
-                        &|| primal_dual::solve_default(ir),
-                    )? {
-                        return Ok(Some(s));
-                    }
-                }
-                if let Some(s) = attempt(
-                    ir,
-                    budget,
-                    objective,
-                    "lp_round",
-                    Guarantee::Ratio(l),
-                    &|| lp_round::solve_budgeted(ir, budget),
-                )? {
-                    return Ok(Some(s));
-                }
-                if ir.forest_case() {
-                    let bound = Guarantee::Ratio(lowdeg_tree::ratio_bound(ir));
-                    if let Some(s) = attempt(ir, budget, objective, "lowdeg_tree", bound, &|| {
-                        lowdeg_tree::solve(ir)
-                    })? {
-                        return Ok(Some(s));
-                    }
-                }
-                let bound = Guarantee::Ratio(general::ratio_bound(ir));
-                if let Some(s) = attempt(ir, budget, objective, "general", bound, &|| {
-                    general::solve(ir)
-                })? {
-                    return Ok(Some(s));
-                }
-                if let Some(s) = attempt(
-                    ir,
-                    budget,
-                    objective,
-                    "greedy",
-                    Guarantee::Heuristic,
-                    &|| general::solve_greedy(ir),
-                )? {
-                    return Ok(Some(s));
-                }
-            }
-            Objective::Balanced => {
-                if ir.forest_case() {
-                    if let Some(s) = attempt(
-                        ir,
-                        budget,
-                        objective,
-                        "primal_dual_balanced",
-                        Guarantee::Heuristic,
-                        &|| {
-                            primal_dual_balanced::solve_balanced(ir, &Default::default())
-                                .map(|o| o.solution)
-                        },
-                    )? {
-                        return Ok(Some(s));
-                    }
-                }
-                if let Some(s) = attempt(
-                    ir,
-                    budget,
-                    objective,
-                    "general_balanced",
-                    Guarantee::Heuristic,
-                    &|| Ok(general::solve_balanced(ir)),
-                )? {
-                    return Ok(Some(s));
-                }
-            }
-        }
-        Ok(None)
-    };
-    match chain(ir) {
-        Ok(Some(s)) => Ok(s),
-        Ok(None) => Err(CoreError::Infeasible {
-            reason: "no shard chain member produced a verifiable solution".to_string(),
+    match portfolio.solve_shard(ir, budget) {
+        Ok(out) => Ok(ShardSolve {
+            guarantee: out.guarantee(),
+            solution: out.solution,
+            cost: out.cost,
+            member: out.winner,
+            degraded: false,
         }),
         // Budget drained or cancelled mid-shard: degrade, don't fail.
-        Err(_) => Ok(degraded_incumbent(ir, objective)),
+        Err(_) if budget.is_exhausted() || budget.is_cancelled() => {
+            Ok(degraded_incumbent(ir, portfolio.objective()))
+        }
+        Err(e) => Err(e),
     }
 }
 
-/// Partition `ir` into component shards, solve them on the
-/// work-stealing scheduler (each task drawing from `budget`'s shared
-/// pool through its own handle), and merge.
+/// Partition `ir` into component shards, solve them with the built-in
+/// chain for `objective` on the work-stealing scheduler (each task
+/// drawing from `budget`'s shared pool through its own handle), and
+/// merge.
 ///
 /// The merged cost is re-evaluated on the **full** instance in its
 /// canonical vulnerable order, so it is byte-equal to any unsharded
@@ -298,6 +174,18 @@ pub fn solve_component(
 pub fn solve_sharded_ir(
     ir: &Arc<CompiledInstance>,
     objective: Objective,
+    budget: &Budget,
+) -> Result<ShardedOutcome, CoreError> {
+    solve_sharded_with(&Portfolio::for_objective(objective), ir, budget)
+}
+
+/// [`solve_sharded_ir`] over a caller's own `portfolio`: each shard runs
+/// its [shard-local](crate::runtime::Solver::shard_local) members in
+/// chain order, first verified wins. [`Portfolio::solve_sharded`] is
+/// this plus the compile charge and a one-member report.
+pub fn solve_sharded_with(
+    portfolio: &Portfolio,
+    ir: &Arc<CompiledInstance>,
     budget: &Budget,
 ) -> Result<ShardedOutcome, CoreError> {
     let part = partition::partition(ir);
@@ -318,7 +206,7 @@ pub fn solve_sharded_ir(
     let workers = sync::available_parallelism().min(k);
     scheduler::run_tasks(k, workers, |t| {
         let handle = budget.share_labeled("shard");
-        let result = solve_component(&part.shards[t].ir, objective, &handle);
+        let result = component(portfolio, &part.shards[t].ir, &handle);
         *slots[t].lock().unwrap() = Some(result);
     });
 
@@ -330,14 +218,13 @@ pub fn solve_sharded_ir(
             .expect("the scheduler runs every shard task exactly once");
         per_shard.push(result?);
     }
-    merge_shards(ir, per_shard, objective)
+    merge_shards(ir, per_shard, portfolio.objective())
 }
 
 /// Merge certified per-shard outcomes into one [`ShardedOutcome`]:
 /// union the solutions, re-evaluate cost and feasibility on the full
-/// instance, and label the weakest per-shard guarantee. Public so the
-/// engine can merge a mix of freshly solved and digest-cached shards.
-pub fn merge_shards(
+/// instance, and label the weakest per-shard guarantee.
+fn merge_shards(
     ir: &CompiledInstance,
     per_shard: Vec<ShardSolve>,
     objective: Objective,

@@ -25,7 +25,7 @@
 //! the parent `Arc` itself (asserted by `tests/shard_equivalence.rs`),
 //! so the sharded path degenerates to the unsharded one at zero cost.
 
-use crate::ir::{ActiveParts, CompiledInstance, Fnv1a};
+use crate::ir::{ActiveParts, CompiledInstance};
 use delprop_query::ViewTupleId;
 use delprop_relation::TupleId;
 use std::sync::Arc;
@@ -93,11 +93,6 @@ pub struct Shard {
     /// The component's own compiled instance. For a single-component
     /// parent this is the parent `Arc` itself.
     pub ir: Arc<CompiledInstance>,
-    /// FNV-1a digest of the component's id sets (bases, demands,
-    /// vulnerable). Two shards with equal digests describe the same
-    /// subproblem over the same static layer, so certified per-shard
-    /// outcomes can be memoized across `DeltaBatch`es keyed on this.
-    pub digest: u64,
 }
 
 /// A compiled instance split into independent component shards.
@@ -110,23 +105,6 @@ pub struct Partition {
     /// deletion can ever damage them, so they belong to no shard and
     /// contribute zero cost on every path.
     pub orphan_vulnerable: usize,
-}
-
-fn digest_ids(bases: &[TupleId], demands: &[ViewTupleId], vulnerable: &[ViewTupleId]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_u64(bases.len() as u64);
-    for t in bases {
-        h.write_u64(t.relation.0 as u64);
-        h.write_u64(t.index as u64);
-    }
-    for set in [demands, vulnerable] {
-        h.write_u64(set.len() as u64);
-        for id in set {
-            h.write_u64(id.view as u64);
-            h.write_u64(id.index as u64);
-        }
-    }
-    h.finish()
 }
 
 /// Split `ir` into connected-component shards. `O(‖rows‖ α)` discovery
@@ -175,12 +153,8 @@ pub fn partition(ir: &Arc<CompiledInstance>) -> Partition {
     }
 
     if comp_count <= 1 {
-        let digest = digest_ids(ir.bases(), ir.demands(), ir.vulnerable());
         return Partition {
-            shards: vec![Shard {
-                ir: Arc::clone(ir),
-                digest,
-            }],
+            shards: vec![Shard { ir: Arc::clone(ir) }],
             orphan_vulnerable,
         };
     }
@@ -209,7 +183,6 @@ pub fn partition(ir: &Arc<CompiledInstance>) -> Partition {
         .zip(demands)
         .zip(vulnerable)
         .map(|((bases, demands), vulnerable)| {
-            let digest = digest_ids(&bases, &demands, &vulnerable);
             // The shard's ΔV flags mark only its own demands: the shard
             // IR describes the component as a self-contained instance.
             let mut deleted = vec![false; statics.norm_v()];
@@ -223,10 +196,7 @@ pub fn partition(ir: &Arc<CompiledInstance>) -> Partition {
                 deleted,
             };
             let ir = CompiledInstance::assemble(Arc::clone(&statics), parts, generation);
-            Shard {
-                ir: Arc::new(ir),
-                digest,
-            }
+            Shard { ir: Arc::new(ir) }
         })
         .collect();
 
@@ -279,7 +249,6 @@ mod tests {
         assert_eq!(nb, ir.num_bases());
         assert_eq!(nd, ir.num_demands());
         assert_eq!(nv + part.orphan_vulnerable, ir.num_vulnerable());
-        assert_ne!(part.shards[0].digest, part.shards[1].digest);
         // Shards share the parent's static layer (no copying).
         for s in &part.shards {
             assert_eq!(s.ir.norm_v(), ir.norm_v());
@@ -291,14 +260,5 @@ mod tests {
         let p = chain_problem(6, 2, &[]);
         let part = partition(&p.compiled_arc());
         assert!(part.shards.is_empty());
-    }
-
-    #[test]
-    fn digest_distinguishes_different_components() {
-        let p = chain_problem(8, 3, &[1, 4]);
-        let ir = p.compiled_arc();
-        let d1 = digest_ids(ir.bases(), ir.demands(), ir.vulnerable());
-        let d2 = digest_ids(ir.bases(), ir.demands(), &[]);
-        assert_ne!(d1, d2);
     }
 }

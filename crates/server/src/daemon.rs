@@ -78,10 +78,7 @@ impl Default for ServerConfig {
             engine: EngineConfig::default(),
             initial: InstanceSpec::default(),
             initial_label: "forest-default".to_string(),
-            portfolio: Arc::new(|objective| match objective {
-                Objective::Standard => Portfolio::standard(),
-                Objective::Balanced => Portfolio::balanced(),
-            }),
+            portfolio: Arc::new(Portfolio::for_objective),
             seed: 0x5EED_D003,
         }
     }

@@ -15,9 +15,9 @@
 //!    [`Backoff`], bounded by the deadline. Permanent failures (bad
 //!    deletions, invalid weights, shutdown cancellation) fail fast.
 //! 3. **Grace fallback** — out of deadline or retries, one last
-//!    tick-bounded run of the cheapest always-applicable solver. Its
-//!    answer ships only if it verifies, labeled with *its* guarantee
-//!    and `degraded: true`.
+//!    tick-bounded run of the cheapest always-applicable solver, as a
+//!    one-member portfolio so it passes the same verification. Its
+//!    answer is labeled with *its* guarantee and `degraded: true`.
 //! 4. **`DeadlineExceeded`** — the honest floor: no verified answer.
 //!
 //! Every attempt's budget is registered in [`ActiveRequests`] so
@@ -26,14 +26,13 @@
 //! member's lifetime to its request, not thread reaping.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use delprop_core::runtime::solver::{GeneralBalancedSolver, GreedySolver};
 use delprop_core::runtime::sync::{AtomicU64, Ordering};
-use delprop_core::runtime::{now, Budget, EpochSnapshot, Guarantee, Portfolio, Solver};
+use delprop_core::runtime::{now, Budget, EpochSnapshot, Portfolio, PortfolioOutcome};
 use delprop_core::solvers::local_search::Objective;
-use delprop_core::{CoreError, Problem, Solution};
+use delprop_core::{CoreError, Problem};
 use delprop_query::ViewTupleId;
 
 use crate::backoff::{Backoff, BackoffPolicy};
@@ -51,14 +50,9 @@ pub struct EngineConfig {
     /// Per-attempt tick budget when the request names none
     /// (`u64::MAX` = unlimited; the deadline governs).
     pub default_ticks: u64,
-    /// Race the portfolio unless the request says otherwise.
+    /// Race the portfolio unless the request says otherwise. A request
+    /// with `sharded: true` is solved by component shards instead.
     pub racing: bool,
-    /// Partition into component shards and solve through the
-    /// work-stealing scheduler unless the request says otherwise.
-    /// Takes precedence over `racing` when both apply: sharding already
-    /// parallelizes across components, so racing members on top would
-    /// only oversubscribe the box.
-    pub sharded: bool,
     /// Retries after the first attempt.
     pub max_retries: u32,
     /// Retry jitter schedule.
@@ -75,7 +69,6 @@ impl Default for EngineConfig {
             max_deadline_ms: 30_000,
             default_ticks: u64::MAX,
             racing: true,
-            sharded: false,
             max_retries: 3,
             backoff: BackoffPolicy::default(),
             grace_ticks: 2_000_000,
@@ -193,24 +186,37 @@ fn classify(e: &CoreError) -> ErrorClass {
     }
 }
 
-/// Wire label for a guarantee.
-fn guarantee_label(g: Guarantee) -> String {
-    g.to_string()
-}
-
-fn cost_of(solution: &Solution, problem: &Problem, objective: Objective) -> f64 {
-    match objective {
-        Objective::Standard => solution.side_effect(problem),
-        Objective::Balanced => solution.balanced_cost(problem),
+/// The wire answer for a verified portfolio outcome, labeled with its
+/// winner's guarantee. Degraded when it is the grace fallback's or its
+/// budget was cut.
+fn answer(
+    snapshot: &EpochSnapshot<ServingInstance>,
+    outcome: PortfolioOutcome,
+    budget: &Budget,
+    fallback: bool,
+    attempts: u32,
+    start: std::time::Instant,
+) -> SolveOk {
+    let degraded = fallback || budget.is_exhausted() || budget.is_cancelled();
+    if degraded {
+        stats::DEGRADED.inc();
     }
-}
-
-fn deleted_pairs(solution: &Solution) -> Vec<(usize, usize)> {
-    solution
-        .deleted
-        .iter()
-        .map(|t| (t.relation.0, t.index))
-        .collect()
+    SolveOk {
+        epoch: snapshot.epoch(),
+        winner: outcome.winner.to_string(),
+        guarantee: outcome.guarantee().to_string(),
+        degraded,
+        cost: outcome.cost,
+        deleted: outcome
+            .solution
+            .deleted
+            .iter()
+            .map(|t| (t.relation.0, t.index))
+            .collect(),
+        micros: start.elapsed().as_micros() as u64,
+        ticks: budget.used(),
+        attempts,
+    }
 }
 
 /// Run the ladder for one admitted solve request.
@@ -256,7 +262,6 @@ pub fn serve_solve(
         }
     };
 
-    let objective = portfolio.objective();
     let mut backoff = Backoff::new(cfg.backoff, seed);
     let mut attempts = 0u32;
     while attempts <= cfg.max_retries {
@@ -273,11 +278,9 @@ pub fn serve_solve(
         }
         .with_deadline(remaining);
         let id = active.register(&budget);
-        let racing = req.racing.unwrap_or(cfg.racing);
-        let sharded = req.sharded.unwrap_or(cfg.sharded);
-        let result = if sharded {
+        let result = if req.sharded == Some(true) {
             portfolio.solve_sharded(problem, &budget)
-        } else if racing {
+        } else if req.racing.unwrap_or(cfg.racing) {
             portfolio.solve_racing(problem, &budget)
         } else {
             portfolio.solve(problem, &budget)
@@ -285,27 +288,7 @@ pub fn serve_solve(
         active.deregister(id);
         match result {
             Ok(outcome) => {
-                let guarantee = outcome
-                    .report
-                    .iter()
-                    .find(|r| r.name == outcome.winner)
-                    .map(|r| r.guarantee)
-                    .unwrap_or(Guarantee::Heuristic);
-                let degraded = budget.is_exhausted() || budget.is_cancelled();
-                if degraded {
-                    stats::DEGRADED.inc();
-                }
-                return Served::Ok(SolveOk {
-                    epoch: snapshot.epoch(),
-                    winner: outcome.winner.to_string(),
-                    guarantee: guarantee_label(guarantee),
-                    degraded,
-                    cost: outcome.cost,
-                    deleted: deleted_pairs(&outcome.solution),
-                    micros: start.elapsed().as_micros() as u64,
-                    ticks: budget.used(),
-                    attempts,
-                });
+                return Served::Ok(answer(snapshot, outcome, &budget, false, attempts, start))
             }
             // A cancelled pool is always permanent, whatever error
             // surfaced: racing reports cooperative cancellation as a
@@ -335,59 +318,24 @@ pub fn serve_solve(
         }
     }
 
-    // Grace fallback: deadline (or the retry allowance) is gone; try
-    // the cheapest always-applicable solver under ticks only, and ship
-    // its answer iff it verifies.
-    if let Some(ok) = grace_fallback(snapshot, problem, objective, cfg, attempts, start) {
-        return Served::Ok(ok);
-    }
-    Served::DeadlineExceeded {
-        attempts,
-        micros: start.elapsed().as_micros() as u64,
-    }
-}
-
-fn grace_fallback(
-    snapshot: &EpochSnapshot<ServingInstance>,
-    problem: &Problem,
-    objective: Objective,
-    cfg: &EngineConfig,
-    attempts: u32,
-    start: std::time::Instant,
-) -> Option<SolveOk> {
-    let solver: Box<dyn Solver> = match objective {
-        Objective::Standard => Box::new(GreedySolver),
-        Objective::Balanced => Box::new(GeneralBalancedSolver),
+    // Grace fallback: deadline (or the retry allowance) is gone; one
+    // tick-bounded run of the cheapest always-applicable solver, as a
+    // one-member portfolio so its answer ships only if it verifies.
+    let fallback = match portfolio.objective() {
+        Objective::Standard => Portfolio::new(Objective::Standard).with(GreedySolver),
+        Objective::Balanced => Portfolio::new(Objective::Balanced).with(GeneralBalancedSolver),
     };
     let budget = Budget::with_ticks(cfg.grace_ticks);
-    let solution = solver.solve(problem, &budget).ok()?;
-    // Same acceptance bar as the portfolio: a fallback answer must
-    // verify (feasibility for the standard objective, plus the
-    // re-evaluation cross-check, with any panic contained).
-    let verified = catch_unwind(AssertUnwindSafe(|| {
-        if objective == Objective::Standard && !solution.is_feasible(problem) {
-            return false;
+    match fallback.solve(problem, &budget) {
+        Ok(outcome) => {
+            stats::FALLBACKS.inc();
+            Served::Ok(answer(snapshot, outcome, &budget, true, attempts, start))
         }
-        solution.verify_by_reevaluation(problem);
-        true
-    }))
-    .unwrap_or(false);
-    if !verified {
-        return None;
+        Err(_) => Served::DeadlineExceeded {
+            attempts,
+            micros: start.elapsed().as_micros() as u64,
+        },
     }
-    stats::DEGRADED.inc();
-    stats::FALLBACKS.inc();
-    Some(SolveOk {
-        epoch: snapshot.epoch(),
-        winner: solver.name().to_string(),
-        guarantee: guarantee_label(solver.guarantee(problem)),
-        degraded: true,
-        cost: cost_of(&solution, problem, objective),
-        deleted: deleted_pairs(&solution),
-        micros: start.elapsed().as_micros() as u64,
-        ticks: budget.used(),
-        attempts,
-    })
 }
 
 #[cfg(test)]
@@ -435,19 +383,16 @@ mod tests {
 
     #[test]
     fn sharded_flag_routes_to_the_sharded_portfolio() {
-        let (cell, mut cfg) = snapshot();
-        cfg.sharded = true;
+        let (cell, cfg) = snapshot();
         let snap = cell.snapshot();
         let portfolio = Portfolio::standard();
         let active = ActiveRequests::new();
-        match serve_solve(
-            &snap,
-            &req_with_deadline(5_000),
-            &portfolio,
-            &cfg,
-            &active,
-            7,
-        ) {
+        let req = |sharded| SolveRequest {
+            deadline_ms: Some(5_000),
+            sharded,
+            ..SolveRequest::default()
+        };
+        match serve_solve(&snap, &req(Some(true)), &portfolio, &cfg, &active, 7) {
             Served::Ok(ok) => {
                 assert_eq!(ok.winner, "sharded");
                 assert!(!ok.degraded);
@@ -455,15 +400,12 @@ mod tests {
             }
             other => panic!("expected Ok, got {other:?}"),
         }
-        // The request-level flag must override the config default.
-        let req = SolveRequest {
-            deadline_ms: Some(5_000),
-            sharded: Some(false),
-            ..SolveRequest::default()
-        };
-        match serve_solve(&snap, &req, &portfolio, &cfg, &active, 8) {
-            Served::Ok(ok) => assert_ne!(ok.winner, "sharded"),
-            other => panic!("expected Ok, got {other:?}"),
+        // Sharding is opt-in per request: unset or false solves whole.
+        for (sharded, seed) in [(Some(false), 8), (None, 9)] {
+            match serve_solve(&snap, &req(sharded), &portfolio, &cfg, &active, seed) {
+                Served::Ok(ok) => assert_ne!(ok.winner, "sharded"),
+                other => panic!("expected Ok, got {other:?}"),
+            }
         }
         assert!(active.is_empty(), "attempt budgets must deregister");
     }

@@ -41,13 +41,14 @@ fn balanced_members() -> Vec<Box<dyn Solver>> {
 /// output or typed error, never a panic. Returns how many members ran.
 fn exercise(problem: &Problem, label: &str) -> usize {
     let budget = Budget::unlimited();
+    let ir = problem.compiled();
     let mut ran = 0;
     for m in standard_members() {
-        if !m.applies(problem) {
+        if !m.applies(ir) {
             continue;
         }
         ran += 1;
-        match m.solve(problem, &budget) {
+        match m.solve(ir, &budget) {
             Ok(sol) => {
                 assert!(
                     sol.is_feasible(problem),
@@ -63,11 +64,11 @@ fn exercise(problem: &Problem, label: &str) -> usize {
         }
     }
     for m in balanced_members() {
-        if !m.applies(problem) {
+        if !m.applies(ir) {
             continue;
         }
         ran += 1;
-        match m.solve(problem, &budget) {
+        match m.solve(ir, &budget) {
             Ok(sol) => {
                 sol.verify_by_reevaluation(problem);
                 assert!(

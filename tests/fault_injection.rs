@@ -7,10 +7,12 @@
 //! panic, never an unverified answer.
 
 use delprop::core::runtime::solver::{ExactSolver, GreedySolver, LocalSearchSolver};
+use delprop::core::shard;
 use delprop::core::solvers::local_search::Objective;
 use delprop::prelude::*;
 use delprop::query::parse_query;
 use delprop::relation::{Database, RelationSchema, Schema, Tuple};
+use delprop::workload::forest::{self, ForestParams};
 use delprop::workload::random_db::{self, RandomDbParams};
 
 /// The binary-counter chain workload: `n` counter values joined through
@@ -304,6 +306,57 @@ fn stalled_chain_on_an_unlimited_budget_is_reaped_by_pool_cancellation() {
         ),
         "got {err:?}"
     );
+}
+
+// -------------------------------------------------------------------
+// Scenario 7: the sharded path runs the caller's members, faults and all.
+// -------------------------------------------------------------------
+
+/// Three value-disjoint forest copies: a multi-component instance.
+fn disjoint_forest() -> Problem {
+    forest::generate_disjoint(
+        ForestParams {
+            levels: 4,
+            window: 2,
+            chains: 12,
+            delete_fraction: 0.3,
+            weighted: false,
+        },
+        3,
+        11,
+    )
+}
+
+#[test]
+fn sharded_all_panicking_portfolio_is_a_typed_error() {
+    let p = disjoint_forest();
+    let chain =
+        Portfolio::new(Objective::Standard).with(FaultySolver::new(GreedySolver, FaultMode::Panic));
+    // No member can verify on any shard, and the budget is healthy: the
+    // sharded solve must fail typed, not fall back to a built-in chain.
+    let err = chain
+        .solve_sharded(&p, &Budget::unlimited())
+        .expect_err("a panicking-only portfolio must not certify anything");
+    assert!(matches!(err, CoreError::Infeasible { .. }), "got {err:?}");
+}
+
+#[test]
+fn sharded_chain_recovers_past_a_panicking_member_on_every_shard() {
+    let p = disjoint_forest();
+    let chain = faulty_chain(FaultMode::Panic);
+    let ir = p.compiled_arc();
+    let out = shard::solve_sharded_with(&chain, &ir, &Budget::unlimited()).unwrap();
+    assert!(out.shards >= 3, "copies stay value-disjoint");
+    assert!(!out.degraded);
+    for s in &out.per_shard {
+        assert_eq!(s.member, "greedy");
+    }
+    assert!(out.solution.is_feasible(&p));
+    // The portfolio entry point reports the same merged answer.
+    let whole = chain.solve_sharded(&p, &Budget::unlimited()).unwrap();
+    assert_eq!(whole.winner, "sharded");
+    assert_eq!(whole.solution, out.solution);
+    assert_eq!(whole.cost.to_bits(), out.cost.to_bits());
 }
 
 // -------------------------------------------------------------------
