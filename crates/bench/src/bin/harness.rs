@@ -9,8 +9,12 @@
 //! cargo run -p delprop-bench --bin harness -- --scale 10 ex-kern
 //! #   ^ multiply workload sizes in the scaling experiments (ungated)
 //! ```
+//!
+//! A panicking experiment prints `[<id> FAILED: <message>]` and the
+//! remaining ones still run; the harness then exits 1.
 
-use delprop_bench::experiments;
+use delprop_bench::experiments::{self, Runner};
+use std::panic;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -43,11 +47,12 @@ fn main() {
             }
         }
     }
-    let selected: Vec<&(&str, delprop_bench::experiments::Runner)> = if args.is_empty() {
-        all.iter().collect()
+    let selected: Vec<(&str, Runner)> = if args.is_empty() {
+        all
     } else {
         let picks: Vec<_> = all
             .iter()
+            .copied()
             .filter(|(id, _)| args.iter().any(|a| a == id))
             .collect();
         if picks.is_empty() {
@@ -63,13 +68,52 @@ fn main() {
         }
         picks
     };
-    for (i, (id, run)) in selected.iter().enumerate() {
+    if !experiments(&selected).is_empty() {
+        std::process::exit(1);
+    }
+}
+
+/// Run every selected experiment in order and print its report. A
+/// panic is caught and reported as `[<id> FAILED: <message>]`, so one
+/// failure cannot hide the other experiments' results or artifacts.
+/// Returns the ids that failed.
+fn experiments<'a>(selected: &[(&'a str, Runner)]) -> Vec<&'a str> {
+    let mut failed = Vec::new();
+    for (i, &(id, run)) in selected.iter().enumerate() {
         if i > 0 {
             println!("\n{}\n", "=".repeat(72));
         }
         let start = std::time::Instant::now();
-        let report = run();
-        println!("{report}");
-        println!("[{id} completed in {:.2}s]", start.elapsed().as_secs_f64());
+        match panic::catch_unwind(run) {
+            Ok(report) => {
+                println!("{report}");
+                println!("[{id} completed in {:.2}s]", start.elapsed().as_secs_f64());
+            }
+            Err(payload) => {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".into());
+                println!("[{id} FAILED: {msg}]");
+                failed.push(id);
+            }
+        }
+    }
+    failed
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_experiment_does_not_stop_the_rest() {
+        let selected: [(&str, Runner); 2] = [
+            ("ex-boom", || panic!("boom")),
+            ("ex-fine", || "ok".to_string()),
+        ];
+        assert_eq!(experiments(&selected), vec!["ex-boom"]);
+        assert!(experiments(&selected[1..]).is_empty());
     }
 }

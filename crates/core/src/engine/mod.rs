@@ -32,13 +32,13 @@
 //! suite `tests/incremental_equivalence.rs` checks
 //! [`crate::ir::CompiledInstance::shape_digest`] equality per step).
 //!
-//! Membership is stored as generation-stamped tombstone overlays
-//! (`overlay::DynSortedSet`): batch updates touch `O(batch)` overlay
-//! state, enumeration merges in `O(active)`, and once fragmentation
-//! crosses [`CompactionPolicy::max_fragmentation`] the overlay folds
-//! back into clean sorted arrays. The projected IR is installed into the
-//! shadow problem's cache stamped with its mutation generation, so every
-//! existing solver / portfolio / verification entry point works
+//! Membership is the refcounts themselves: the candidate uids and the
+//! vulnerable view tuples are plain [`BitSet`]s that flip exactly on
+//! their counters' 0↔1 transitions, and the demand set is the ΔV
+//! bitset. A projection walks the three bitsets in ascending order, so
+//! it needs no sorting and no compaction. The projected IR is installed
+//! into the shadow problem's cache stamped with its mutation generation,
+//! so every existing solver / portfolio / verification entry point works
 //! unchanged — and [`Problem::verify_compiled`] rejects any stale IR a
 //! racing reader may still hold.
 //!
@@ -67,7 +67,6 @@
 //! assert_eq!(engine.problem().norm_delta(), 0);
 //! ```
 
-mod overlay;
 mod provenance;
 
 use crate::error::CoreError;
@@ -76,7 +75,6 @@ use crate::problem::Problem;
 use crate::runtime::metrics;
 use delprop_query::ViewTupleId;
 use delprop_setcover::BitSet;
-use overlay::DynSortedSet;
 use provenance::ProvenanceIndex;
 use std::sync::Arc;
 
@@ -114,23 +112,6 @@ impl DeltaBatch {
     }
 }
 
-/// When the engine folds its tombstone overlays back into clean arrays.
-#[derive(Debug, Clone, Copy)]
-pub struct CompactionPolicy {
-    /// Compact when any overlay's (tombstones + pending) / active ratio
-    /// exceeds this. `0.0` compacts after every batch; `f64::INFINITY`
-    /// never compacts automatically ([`Engine::compact`] still works).
-    pub max_fragmentation: f64,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> CompactionPolicy {
-        CompactionPolicy {
-            max_fragmentation: 0.25,
-        }
-    }
-}
-
 /// What one [`Engine::apply`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaReport {
@@ -147,32 +128,19 @@ pub struct DeltaReport {
     /// tuples re-entering the vulnerable set, or survivors kept by an
     /// alternative witness after retractions).
     pub rederived: usize,
-    /// Whether the overlays were compacted after this batch.
-    pub compacted: bool,
-}
-
-/// Cumulative engine counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineStats {
-    /// ΔV batches applied.
-    pub batches: u64,
-    /// Overlay compactions performed.
-    pub compactions: u64,
-    /// Incremental projections installed (one per non-empty batch).
-    pub projections: u64,
 }
 
 /// A long-lived incremental deletion-propagation service over one
 /// instance. See the module docs for the maintenance model.
 #[derive(Debug, Clone)]
 pub struct Engine {
-    /// The shadow problem: deletion set kept in lock-step with the
-    /// overlay, compiled-IR cache holding the latest projection. Exposed
-    /// read-only — all mutation goes through [`Engine::apply`].
+    /// The shadow problem: deletion set kept in lock-step with
+    /// `deleted`, compiled-IR cache holding the latest projection.
+    /// Exposed read-only — all mutation goes through [`Engine::apply`].
     problem: Problem,
     statics: Arc<StaticLayer>,
     prov: Arc<ProvenanceIndex>,
-    /// ΔV membership over the dense view layout.
+    /// ΔV membership over the dense view layout (the demand set).
     deleted: BitSet,
     /// Per-uid: number of ΔV members whose witness path contains it.
     /// Positive ⇔ candidate.
@@ -180,28 +148,18 @@ pub struct Engine {
     /// Per view tuple: number of active candidate uids on its witness
     /// path. Positive ∧ preserved ⇔ vulnerable.
     vuln_refs: Vec<u32>,
-    /// Active candidate uids.
-    cands: DynSortedSet,
-    /// Dense view indices in ΔV.
-    demands: DynSortedSet,
-    /// Active vulnerable dense view indices.
-    vuln: DynSortedSet,
-    policy: CompactionPolicy,
-    stats: EngineStats,
+    /// Candidate uids: exactly those with a positive `cand_refs`.
+    cands: BitSet,
+    /// Vulnerable dense view indices: positive `vuln_refs`, not in ΔV.
+    vuln: BitSet,
 }
 
 impl Engine {
-    /// Build an engine over `problem` with the default compaction
-    /// policy. Any deletions already marked on the problem become the
-    /// initial ΔV (applied through the same incremental machinery), and
-    /// the initial projection is installed, so `problem().compiled()` is
-    /// warm from the start.
+    /// Build an engine over `problem`. Any deletions already marked on
+    /// the problem become the initial ΔV (applied through the same
+    /// incremental machinery), and the initial projection is installed,
+    /// so `problem().compiled()` is warm from the start.
     pub fn new(problem: Problem) -> Result<Engine, CoreError> {
-        Engine::with_policy(problem, CompactionPolicy::default())
-    }
-
-    /// Build an engine with an explicit compaction policy.
-    pub fn with_policy(problem: Problem, policy: CompactionPolicy) -> Result<Engine, CoreError> {
         let statics = Arc::new(StaticLayer::build(&problem));
         let prov = Arc::new(ProvenanceIndex::build(&statics));
         let norm_v = statics.norm_v();
@@ -211,20 +169,16 @@ impl Engine {
             deleted: BitSet::new(norm_v),
             cand_refs: vec![0; universe],
             vuln_refs: vec![0; norm_v],
-            cands: DynSortedSet::new(universe),
-            demands: DynSortedSet::new(norm_v),
-            vuln: DynSortedSet::new(norm_v),
+            cands: BitSet::new(universe),
+            vuln: BitSet::new(norm_v),
             statics,
             prov,
-            policy,
-            stats: EngineStats::default(),
         };
         let initial: Vec<ViewTupleId> = engine.problem.deletions().iter().copied().collect();
         let mut report = DeltaReport::default();
         for id in initial {
             engine.raw_delete(engine.statics.dense(id), &mut report);
         }
-        engine.compact();
         engine.project();
         Ok(engine)
     }
@@ -245,15 +199,9 @@ impl Engine {
         self.problem.generation()
     }
 
-    /// Cumulative counters.
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    /// Apply one ΔV batch: validate, overdelete, rederive, maybe
-    /// compact, and install the refreshed projection. All ids are
-    /// validated **before** any state changes, so an `Err` leaves the
-    /// engine exactly as it was.
+    /// Apply one ΔV batch: validate, overdelete, rederive, and install
+    /// the refreshed projection. All ids are validated **before** any
+    /// state changes, so an `Err` leaves the engine exactly as it was.
     pub fn apply(&mut self, batch: &DeltaBatch) -> Result<DeltaReport, CoreError> {
         for &id in batch.delete.iter().chain(&batch.restore) {
             self.validate(id)?;
@@ -278,111 +226,27 @@ impl Engine {
                 report.restored += 1;
             }
         }
-        report.compacted = self.maybe_compact();
         self.project();
-        self.stats.batches += 1;
         report.generation = self.problem.generation();
         Ok(report)
     }
 
     /// Fork a per-request problem: the engine's instance plus `extra`
-    /// deletions, without mutating the engine. The clone shares the
-    /// database, views, static layer and — when `extra` adds nothing new
-    /// — the installed IR; otherwise an incremental projection for the
-    /// combined ΔV is assembled in `O(active)` and installed on the
-    /// clone. This is the serving daemon's delta path: one engine per
-    /// epoch, one `with_delta` per request.
+    /// deletions, without mutating the engine. When `extra` adds nothing
+    /// new the clone shares the installed IR; otherwise a forked engine
+    /// applies `extra` as one deletion batch and hands back its problem.
+    /// This is the serving daemon's delta path: one engine per epoch,
+    /// one `with_delta` per request.
     pub fn with_delta(&self, extra: &[ViewTupleId]) -> Result<Problem, CoreError> {
         for &id in extra {
             self.validate(id)?;
         }
-        let mut p = self.problem.clone();
-        // Dense indices of the genuinely new deletions, sorted.
-        let mut fresh: Vec<u32> = extra
-            .iter()
-            .filter(|&&id| !self.problem.is_deleted(id))
-            .map(|&id| self.statics.dense(id) as u32)
-            .collect();
-        fresh.sort_unstable();
-        fresh.dedup();
-        if fresh.is_empty() {
-            return Ok(p);
+        if extra.iter().all(|&id| self.problem.is_deleted(id)) {
+            return Ok(self.problem.clone());
         }
-        for &id in extra {
-            p.mark_deleted_id(id).expect("validated above");
-        }
-
-        // Candidate uids the fresh deletions add beyond the engine's.
-        let mut new_uids: Vec<u32> = fresh
-            .iter()
-            .flat_map(|&i| self.prov.path_uids(i as usize).iter().copied())
-            .filter(|&uid| self.cand_refs[uid as usize] == 0)
-            .collect();
-        new_uids.sort_unstable();
-        new_uids.dedup();
-
-        // Vulnerable additions: preserved view tuples with no existing
-        // candidate on their path that gain one through a new uid.
-        let mut vuln_add: Vec<u32> = new_uids
-            .iter()
-            .flat_map(|&uid| self.prov.occ_row(uid).iter().copied())
-            .filter(|&j| {
-                self.vuln_refs[j as usize] == 0
-                    && !self.deleted.contains(j as usize)
-                    && fresh.binary_search(&j).is_err()
-            })
-            .collect();
-        vuln_add.sort_unstable();
-        vuln_add.dedup();
-
-        let bases: Vec<_> = merge_sorted(&self.cands.merged(), &new_uids)
-            .into_iter()
-            .map(|uid| self.prov.tuple(uid))
-            .collect();
-        let demands: Vec<ViewTupleId> = merge_sorted(&self.demands.merged(), &fresh)
-            .into_iter()
-            .map(|i| self.statics.view_tuples[i as usize])
-            .collect();
-        // Existing vulnerable minus the freshly deleted, plus additions.
-        let kept: Vec<u32> = self
-            .vuln
-            .merged()
-            .into_iter()
-            .filter(|j| fresh.binary_search(j).is_err())
-            .collect();
-        let vulnerable: Vec<ViewTupleId> = merge_sorted(&kept, &vuln_add)
-            .into_iter()
-            .map(|i| self.statics.view_tuples[i as usize])
-            .collect();
-        let mut deleted_vec = self.deleted_vec();
-        for &i in &fresh {
-            deleted_vec[i as usize] = true;
-        }
-
-        let ir = CompiledInstance::assemble(
-            self.statics.clone(),
-            ActiveParts {
-                bases,
-                demands,
-                vulnerable,
-                deleted: deleted_vec,
-            },
-            p.generation(),
-        );
-        metrics::IR_PATCHES.inc();
-        p.install_compiled(Arc::new(ir));
-        Ok(p)
-    }
-
-    /// Force-fold all overlays into clean arrays. The installed IR is
-    /// untouched: compaction changes the overlay representation, never
-    /// the active sets.
-    pub fn compact(&mut self) {
-        self.cands.compact();
-        self.demands.compact();
-        self.vuln.compact();
-        self.stats.compactions += 1;
-        metrics::ENGINE_COMPACTIONS.inc();
+        let mut fork = self.clone();
+        fork.apply(&DeltaBatch::deletes(extra.iter().copied()))?;
+        Ok(fork.problem)
     }
 
     // ---- internals ----
@@ -401,21 +265,18 @@ impl Engine {
     fn raw_delete(&mut self, i: usize, report: &mut DeltaReport) {
         debug_assert!(!self.deleted.contains(i));
         self.deleted.insert(i);
-        self.demands.activate(i as u32);
         // A vulnerable tuple entering ΔV leaves the preserved side.
-        if self.vuln_refs[i] > 0 {
-            self.vuln.deactivate(i as u32);
-        }
+        self.vuln.remove(i);
         let prov = Arc::clone(&self.prov);
         for &uid in prov.path_uids(i) {
             self.cand_refs[uid as usize] += 1;
             if self.cand_refs[uid as usize] == 1 {
-                self.cands.activate(uid);
+                self.cands.insert(uid as usize);
                 for &j in prov.occ_row(uid) {
                     let j = j as usize;
                     self.vuln_refs[j] += 1;
                     if self.vuln_refs[j] == 1 && !self.deleted.contains(j) {
-                        self.vuln.activate(j as u32);
+                        self.vuln.insert(j);
                         report.overdeleted += 1;
                     }
                 }
@@ -426,101 +287,54 @@ impl Engine {
     /// Rederivation for one withdrawn ΔV member (dense index `i`).
     fn raw_restore(&mut self, i: usize, report: &mut DeltaReport) {
         debug_assert!(self.deleted.contains(i));
-        // Retract the refcounts first, while `i` still counts as
-        // deleted, so its own vulnerable status is not touched by the
-        // inner loop.
         let prov = Arc::clone(&self.prov);
         for &uid in prov.path_uids(i) {
             self.cand_refs[uid as usize] -= 1;
             if self.cand_refs[uid as usize] == 0 {
-                self.cands.deactivate(uid);
+                self.cands.remove(uid as usize);
                 for &j in prov.occ_row(uid) {
                     let j = j as usize;
                     self.vuln_refs[j] -= 1;
-                    if self.vuln_refs[j] == 0 && !self.deleted.contains(j) {
-                        self.vuln.deactivate(j as u32);
+                    if self.vuln_refs[j] == 0 {
+                        self.vuln.remove(j);
                     }
                 }
             }
         }
         self.deleted.remove(i);
-        self.demands.deactivate(i as u32);
         // The restored tuple rejoins the vulnerable set exactly when an
         // alternative deletion still pins one of its witnesses.
         if self.vuln_refs[i] > 0 {
-            self.vuln.activate(i as u32);
+            self.vuln.insert(i);
             report.rederived += 1;
         }
     }
 
-    fn maybe_compact(&mut self) -> bool {
-        let frag = self
-            .cands
-            .fragmentation()
-            .max(self.demands.fragmentation())
-            .max(self.vuln.fragmentation());
-        if frag > self.policy.max_fragmentation {
-            self.compact();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn deleted_vec(&self) -> Vec<bool> {
-        let mut v = vec![false; self.statics.norm_v()];
-        for i in self.deleted.iter() {
-            v[i] = true;
-        }
-        v
-    }
-
     /// Assemble the canonical projection of the current active sets and
-    /// install it into the shadow problem's IR cache.
+    /// install it into the shadow problem's IR cache. Bitset iteration is
+    /// ascending, which is the order `assemble` expects.
     fn project(&mut self) {
+        let view = |i: usize| self.statics.view_tuples[i];
+        let mut deleted = vec![false; self.statics.norm_v()];
+        for i in self.deleted.iter() {
+            deleted[i] = true;
+        }
         let parts = ActiveParts {
-            bases: self
-                .cands
-                .merged()
-                .into_iter()
-                .map(|uid| self.prov.tuple(uid))
-                .collect(),
-            demands: self
-                .demands
-                .merged()
-                .into_iter()
-                .map(|i| self.statics.view_tuples[i as usize])
-                .collect(),
-            vulnerable: self
-                .vuln
-                .merged()
-                .into_iter()
-                .map(|i| self.statics.view_tuples[i as usize])
-                .collect(),
-            deleted: self.deleted_vec(),
+            bases: members(&self.cands, |uid| self.prov.tuple(uid as u32)),
+            demands: members(&self.deleted, view),
+            vulnerable: members(&self.vuln, view),
+            deleted,
         };
         let ir = CompiledInstance::assemble(self.statics.clone(), parts, self.problem.generation());
         metrics::IR_PATCHES.inc();
-        self.stats.projections += 1;
         self.problem.install_compiled(Arc::new(ir));
     }
 }
 
-/// Merge two sorted, mutually disjoint `u32` lists.
-fn merge_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut x, mut y) = (0, 0);
-    while x < a.len() && y < b.len() {
-        if a[x] < b[y] {
-            out.push(a[x]);
-            x += 1;
-        } else {
-            out.push(b[y]);
-            y += 1;
-        }
-    }
-    out.extend_from_slice(&a[x..]);
-    out.extend_from_slice(&b[y..]);
+/// The members of `set`, ascending, mapped into an exactly sized vector.
+fn members<T>(set: &BitSet, f: impl Fn(usize) -> T) -> Vec<T> {
+    let mut out = Vec::with_capacity(set.count());
+    out.extend(set.iter().map(f));
     out
 }
 
@@ -662,31 +476,6 @@ mod tests {
         let report = engine.apply(&DeltaBatch::restores([joe])).unwrap();
         assert_eq!(report.rederived, 1, "Joe re-enters the vulnerable set");
         assert!(engine.compiled().vulnerable().contains(&joe));
-    }
-
-    #[test]
-    fn compaction_never_changes_the_projection() {
-        let p = chain_problem(12, 3, &[]);
-        let ids: Vec<ViewTupleId> = p.views().iter().map(|(id, _)| id).collect();
-        let mut engine = Engine::with_policy(
-            p,
-            CompactionPolicy {
-                max_fragmentation: f64::INFINITY,
-            },
-        )
-        .unwrap();
-        for chunk in ids.chunks(3) {
-            engine
-                .apply(&DeltaBatch::deletes(chunk.iter().copied()))
-                .unwrap();
-        }
-        engine
-            .apply(&DeltaBatch::restores(ids.iter().step_by(2).copied()))
-            .unwrap();
-        let digest = engine.compiled().shape_digest();
-        engine.compact();
-        engine.apply(&DeltaBatch::default()).unwrap();
-        assert_eq!(engine.compiled().shape_digest(), digest);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod solvers;
 pub(crate) mod test_support;
 
 pub use classify::{classify, solve_auto, solve_auto_balanced, SolverKind, StructureReport};
-pub use engine::{CompactionPolicy, DeltaBatch, DeltaReport, Engine, EngineStats};
+pub use engine::{DeltaBatch, DeltaReport, Engine};
 pub use error::CoreError;
 pub use ir::CompiledInstance;
 pub use problem::Problem;

@@ -174,9 +174,6 @@ pub static IR_COMPILES: Counter = Counter::new("ir.compiles");
 /// Incremental IR assemblies (engine projections onto a shared static
 /// layer) — the cheap counterpart of `ir.compiles`.
 pub static IR_PATCHES: Counter = Counter::new("ir.patches");
-/// Engine overlay compactions (tombstone/pending lists folded back into
-/// clean sorted arrays).
-pub static ENGINE_COMPACTIONS: Counter = Counter::new("engine.compactions");
 /// Portfolio members actually run (not skipped / not-reached).
 pub static MEMBERS_RUN: Counter = Counter::new("portfolio.members_run");
 /// Racing portfolio invocations.
@@ -229,13 +226,12 @@ pub static VERIFY_MICROS: Histogram = Histogram::new("portfolio.verify_micros");
 /// wanting stable output should sort by [`Counter::name`] (as
 /// [`render`] does).
 pub fn counters() -> &'static [&'static Counter] {
-    static REGISTRY: [&Counter; 25] = [
+    static REGISTRY: [&Counter; 24] = [
         &BUDGET_TICKS,
         &BUDGET_EXHAUSTIONS,
         &CANCELLATIONS,
         &IR_COMPILES,
         &IR_PATCHES,
-        &ENGINE_COMPACTIONS,
         &MEMBERS_RUN,
         &RACES,
         &VERIFICATIONS,

@@ -19,13 +19,11 @@ mod ast;
 pub mod containment;
 mod error;
 pub mod eval;
-mod maintain;
 mod parse;
 pub mod properties;
 mod view;
 
 pub use ast::{Atom, BoundAtom, BoundQuery, ConjunctiveQuery, Term};
 pub use error::QueryError;
-pub use maintain::{DeletionDelta, MaintainedViews};
 pub use parse::{parse_atom, parse_program, parse_query};
 pub use view::{View, ViewSet, ViewTuple, ViewTupleId};

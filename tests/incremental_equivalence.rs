@@ -1,6 +1,6 @@
 //! Differential test of the incremental deletion-propagation engine:
-//! after any randomized stream of ΔV batches — deletes, restores, and
-//! compactions interleaved — the engine's installed projection must be
+//! after any randomized stream of ΔV batches — deletes and restores
+//! interleaved — the engine's installed projection must be
 //! **byte-identical** (same `shape_digest`) to a cold
 //! `CompiledInstance::compile` of a problem carrying the same ΔV, and
 //! the auto-selected solver must return the same cost, the same ΔD,
@@ -9,10 +9,9 @@
 //! IR snapshots held across mutations.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use delprop::core::{
-    solve_auto, CompactionPolicy, CompiledInstance, CoreError, DeltaBatch, Engine, Problem,
-};
+use delprop::core::{solve_auto, CompiledInstance, CoreError, DeltaBatch, Engine, Problem};
 use delprop::query::ViewTupleId;
 use delprop::workload::rng::SplitMix64;
 use delprop::workload::{forest, random_db};
@@ -64,10 +63,10 @@ fn cold_compiled(base: &Problem, delta: &BTreeSet<ViewTupleId>) -> (Problem, Com
 
 /// Drive one randomized ΔV stream and check digest + solver
 /// equivalence against cold compiles at every step.
-fn check_stream(base: Problem, seed: u64, policy: CompactionPolicy, steps: usize) {
+fn check_stream(base: Problem, seed: u64, steps: usize) {
     let ids = all_ids(&base);
     let mut rng = SplitMix64::seed_from_u64(seed);
-    let mut engine = Engine::with_policy(base.clone(), policy).unwrap();
+    let mut engine = Engine::new(base.clone()).unwrap();
     let mut mirror: BTreeSet<ViewTupleId> = base.deletions().iter().copied().collect();
 
     for step in 0..steps {
@@ -96,12 +95,6 @@ fn check_stream(base: Problem, seed: u64, policy: CompactionPolicy, steps: usize
         }
         for id in &batch.restore {
             mirror.remove(id);
-        }
-
-        // Forced mid-stream compaction on some steps, on top of
-        // whatever the policy already triggered.
-        if step % 7 == 3 {
-            engine.compact();
         }
 
         let (cold, cold_ir) = cold_compiled(&base, &mirror);
@@ -135,50 +128,16 @@ fn check_stream(base: Problem, seed: u64, policy: CompactionPolicy, steps: usize
 
 #[test]
 fn forest_streams_match_cold_compiles() {
-    // Pristine start and pre-seeded ΔV, default and never-compact
-    // policies, so both overlay regimes (frequent folds, unbounded
-    // fragmentation) are exercised.
-    check_stream(
-        forest_case(32, 0.0, 11),
-        101,
-        CompactionPolicy::default(),
-        30,
-    );
-    check_stream(
-        forest_case(32, 0.25, 12),
-        102,
-        CompactionPolicy {
-            max_fragmentation: f64::INFINITY,
-        },
-        30,
-    );
-    // Compact after every batch.
-    check_stream(
-        forest_case(24, 0.1, 13),
-        103,
-        CompactionPolicy {
-            max_fragmentation: 0.0,
-        },
-        20,
-    );
+    // Pristine start and pre-seeded ΔV.
+    check_stream(forest_case(32, 0.0, 11), 101, 30);
+    check_stream(forest_case(32, 0.25, 12), 102, 30);
+    check_stream(forest_case(24, 0.1, 13), 103, 20);
 }
 
 #[test]
 fn weighted_random_streams_match_cold_compiles() {
-    check_stream(
-        weighted_random_case(21),
-        201,
-        CompactionPolicy::default(),
-        25,
-    );
-    check_stream(
-        weighted_random_case(22),
-        202,
-        CompactionPolicy {
-            max_fragmentation: 0.05,
-        },
-        25,
-    );
+    check_stream(weighted_random_case(21), 201, 25);
+    check_stream(weighted_random_case(22), 202, 25);
 }
 
 #[test]
@@ -203,13 +162,16 @@ fn with_delta_forks_match_cold_compiles_mid_stream() {
             ))
             .unwrap();
 
-        let extra: Vec<ViewTupleId> = (0..2 + rng.below(3))
-            .map(|_| preserved[rng.below(preserved.len())])
-            .filter(|&id| !engine.problem().is_deleted(id))
+        // Client lists arrive verbatim: any ids, with repeats and ids
+        // already in ΔV.
+        let deleted: Vec<ViewTupleId> = engine.problem().deletions().iter().copied().collect();
+        let mut extra: Vec<ViewTupleId> = (0..2 + rng.below(3))
+            .map(|_| ids[rng.below(ids.len())])
             .collect();
+        extra.push(extra[0]);
+        extra.push(deleted[rng.below(deleted.len())]);
         let forked = engine.with_delta(&extra).unwrap();
-        let mut delta: BTreeSet<ViewTupleId> =
-            engine.problem().deletions().iter().copied().collect();
+        let mut delta: BTreeSet<ViewTupleId> = deleted.iter().copied().collect();
         delta.extend(extra.iter().copied());
         let (_, cold_ir) = cold_compiled(&base, &delta);
         assert_eq!(
@@ -218,6 +180,22 @@ fn with_delta_forks_match_cold_compiles_mid_stream() {
             "round {round}: with_delta fork diverged"
         );
         assert!(forked.verify_compiled(forked.compiled()).is_ok());
+
+        // The fork is exactly a cloned engine applying `extra`.
+        let report = engine
+            .clone()
+            .apply(&DeltaBatch::deletes(extra.iter().copied()))
+            .unwrap();
+        assert_eq!(forked.generation(), report.generation, "round {round}");
+
+        // Nothing new to delete: the fork shares the installed IR.
+        let already = [deleted[0], deleted[rng.below(deleted.len())], deleted[0]];
+        let shared = engine.with_delta(&already).unwrap();
+        assert_eq!(shared.generation(), engine.generation());
+        assert!(
+            Arc::ptr_eq(&shared.compiled_arc(), &engine.compiled()),
+            "round {round}: an all-deleted extra must share the installed IR"
+        );
     }
 }
 

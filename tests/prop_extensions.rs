@@ -1,16 +1,14 @@
 //! Randomized-but-deterministic tests for the extension modules:
-//! functional dependencies, incremental maintenance, the Yannakakis
-//! engine, the source-side-effect solver, and local search. Originally
-//! proptest properties; now driven by the in-tree seeded PRNG so the
+//! functional dependencies, the Yannakakis engine, the
+//! source-side-effect solver, and local search. Originally proptest
+//! properties; now driven by the in-tree seeded PRNG so the
 //! workspace builds offline. Every case reproduces from its seed.
 
 use delprop::core::solvers::{exact, general, local_search, source};
 use delprop::core::{Problem, Solution};
 use delprop::query::eval::{hashjoin, naive, sort_matches, yannakakis, CompiledQuery};
-use delprop::query::{parse_query, DeletionDelta, MaintainedViews, ViewSet};
-use delprop::relation::{
-    tup, Database, FunctionalDependency, RelationFds, RelationSchema, Schema, TupleId,
-};
+use delprop::query::parse_query;
+use delprop::relation::{tup, Database, FunctionalDependency, RelationFds, RelationSchema, Schema};
 use delprop::setcover::exact::ExactConfig;
 use delprop::workload::rng::SplitMix64;
 
@@ -88,7 +86,7 @@ fn candidate_keys_are_minimal_superkeys() {
 }
 
 // ---------------------------------------------------------------------
-// Incremental maintenance & Yannakakis, on random databases.
+// Yannakakis, on random databases.
 // ---------------------------------------------------------------------
 
 fn random_two_rel_db(rng: &mut SplitMix64) -> Database {
@@ -113,64 +111,6 @@ fn random_two_rel_db(rng: &mut SplitMix64) -> Database {
         }
     }
     db
-}
-
-/// The incremental delta equals full re-materialization for any
-/// deletion batch.
-#[test]
-fn maintenance_matches_rematerialization() {
-    let mut rng = SplitMix64::seed_from_u64(0x11a11);
-    for case in 0..48 {
-        let db = random_two_rel_db(&mut rng);
-        let kill_mask = rng.below(64) as u32;
-        let q = parse_query("Q(x, y, z) :- A(x, y), B(y, z)")
-            .unwrap()
-            .bind(db.schema())
-            .unwrap();
-        let vs = ViewSet::materialize(&db, std::slice::from_ref(&q)).unwrap();
-        let victims: Vec<TupleId> = db
-            .live_ids()
-            .enumerate()
-            .filter(|(i, _)| kill_mask & (1 << (i % 6)) != 0 && i % 3 == 0)
-            .map(|(_, t)| t)
-            .collect();
-        let delta = DeletionDelta::compute(&vs, &victims);
-
-        let mut db2 = db.clone();
-        db2.delete_all(&victims);
-        let reeval = ViewSet::materialize(&db2, std::slice::from_ref(&q)).unwrap();
-        let mut expected = Vec::new();
-        for (ti, vt) in vs.views[0].tuples.iter().enumerate() {
-            if reeval.views[0].position_of(&vt.head).is_none() {
-                expected.push(delprop::query::ViewTupleId::new(0, ti));
-            }
-        }
-        assert_eq!(delta.eliminated, expected, "case {case}");
-    }
-}
-
-/// Incremental batches agree with one-shot deltas.
-#[test]
-fn maintained_views_batch_split_agrees() {
-    let mut rng = SplitMix64::seed_from_u64(0x11a12);
-    for case in 0..48 {
-        let db = random_two_rel_db(&mut rng);
-        let split = 1 + rng.below(3);
-        let q = parse_query("Q(x, y, z) :- A(x, y), B(y, z)")
-            .unwrap()
-            .bind(db.schema())
-            .unwrap();
-        let vs = ViewSet::materialize(&db, std::slice::from_ref(&q)).unwrap();
-        let victims: Vec<TupleId> = db.live_ids().step_by(2).collect();
-        let once = DeletionDelta::compute(&vs, &victims);
-        let mut m = MaintainedViews::new(&vs);
-        let mut dead = Vec::new();
-        for chunk in victims.chunks(split) {
-            dead.extend(m.delete(chunk));
-        }
-        dead.sort_unstable();
-        assert_eq!(dead, once.eliminated, "case {case}");
-    }
 }
 
 /// All three engines agree on random data, acyclic shapes.
