@@ -7,7 +7,7 @@
 //! baseline that needs constant re-generation stops being a burn-down
 //! list and becomes a second lint. Staleness is checked instead: an
 //! entry whose `(rule, file)` no longer produces any finding MUST be
-//! deleted (`xtask lint` fails on it), so the baseline only ever
+//! deleted (the `lint` CLI fails on it), so the baseline only ever
 //! shrinks.
 
 use crate::diag::Diagnostic;

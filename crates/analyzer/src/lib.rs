@@ -24,7 +24,8 @@
 //!   indexing in non-test code of `crates/server` and `crates/json` is
 //!   a hard error (typed wire errors only).
 //!
-//! `cargo run -p xtask -- lint` is the CLI over [`run`].
+//! `cargo run -p delprop-analyzer --offline -- lint` (`src/main.rs`) is
+//! the CLI over [`run`].
 
 pub mod baseline;
 pub mod ctx;
@@ -73,7 +74,7 @@ pub struct Options {
 
 /// Scan the repository at `root`, print diagnostics to stdout, write
 /// the JSON report, and say whether the tree is clean. This is the
-/// body of `cargo run -p xtask -- lint`.
+/// body of `cargo run -p delprop-analyzer -- lint`.
 pub fn run(root: &Path, opts: &Options) -> Outcome {
     let baseline_path = opts
         .baseline

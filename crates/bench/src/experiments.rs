@@ -1664,7 +1664,7 @@ pub fn ex_par() -> String {
 /// value-disjoint multi-component forest instances (DESIGN.md §15).
 /// `solve_sharded` partitions the compiled incidence index into
 /// connected components and solves each component's deterministic chain
-/// through the work-stealing scheduler; on a `k`-copy instance the
+/// through the shard scheduler; on a `k`-copy instance the
 /// packed witness masks shrink from `‖ΔV‖×‖𝒞‖/64` words to
 /// `Σ_c ‖ΔV_c‖×‖𝒞_c‖/64 ≈ 1/k` of that, so the win is algorithmic and
 /// survives single-core CI boxes. Gate (scale 1 only): per-copy-count

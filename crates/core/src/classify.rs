@@ -69,7 +69,6 @@ pub struct StructureReport {
 /// exact cases first, then the forest approximations, then the general
 /// approximation.
 pub fn classify(problem: &Problem) -> StructureReport {
-    let schema = problem.db().schema();
     let all_project_free = problem.queries().iter().all(properties::is_project_free);
     let all_self_join_free = problem.queries().iter().all(properties::is_self_join_free);
     // Both structural certificates are computed once at IR compile time.
@@ -85,7 +84,6 @@ pub fn classify(problem: &Problem) -> StructureReport {
     } else {
         SolverKind::GeneralApproximation
     };
-    let _ = schema; // schema participates via properties above
     StructureReport {
         all_project_free,
         all_self_join_free,

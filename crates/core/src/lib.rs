@@ -39,7 +39,8 @@
 //! ```
 
 // Every unsafe operation must sit in its own `unsafe { .. }` block with
-// a `// SAFETY:` comment (enforced by `cargo run -p xtask -- lint`).
+// a `// SAFETY:` comment (enforced by
+// `cargo run -p delprop-analyzer -- lint`).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod classify;

@@ -50,8 +50,8 @@ use std::time::{Duration, Instant};
 /// The runtime's only wall-clock read. Everything in `delprop-core`
 /// that needs "now" — deadlines here, span and member timings in
 /// `trace.rs`/`portfolio.rs`, the IR compile histogram — goes through
-/// this one choke point, and `cargo run -p xtask -- lint` forbids
-/// `Instant::now` anywhere else in the crate. One sanctioned call site
+/// this one choke point, and `cargo run -p delprop-analyzer -- lint`
+/// forbids `Instant::now` anywhere else in the crate. One sanctioned call site
 /// keeps wall-clock out of solver logic (work ticks stay the only
 /// determinism-relevant meter) and gives a future virtual clock a
 /// single seam. Public (re-exported as `runtime::now`) so downstream

@@ -1,81 +1,34 @@
-//! Epoch-shared snapshot publication — a hand-rolled, zero-dependency
-//! arc-swap.
+//! Epoch-shared snapshot publication.
 //!
 //! The serving daemon keeps its compiled instance behind an
-//! [`EpochCell`]: any number of request threads take [`EpochCell::
-//! snapshot`] guards (wait-free in the absence of a concurrent
-//! publish, lock-free always) and share one immutable value, while a
-//! writer [`EpochCell::publish`]es new epochs without ever blocking
-//! readers on the old one. In-flight requests keep the epoch they
-//! started with alive through the guard's `Arc`; an old epoch is
-//! reclaimed only when the last guard drops.
+//! [`EpochCell`]: request threads take [`EpochCell::snapshot`] guards
+//! and share one immutable value, while a writer
+//! [`EpochCell::publish`]es new epochs. The cell is the current `Arc`
+//! plus its epoch number under one `Mutex`; both critical sections are
+//! an `Arc` clone or swap, and the traffic is one snapshot per solve
+//! and, under `ΔV` load, one publish every few milliseconds. A reader
+//! keeps its `Arc` for the whole solve, so in-flight requests keep the
+//! epoch they started with, and an old epoch is reclaimed only when its
+//! last guard drops. `publish` drops the retired `Arc` after unlocking:
+//! if that was the last reference, dropping an engine never holds up
+//! readers.
 //!
-//! # Protocol
-//!
-//! Two slots, each holding an `Option<Arc<T>>` plus a reader **pin
-//! count**; a `current` index names the published slot. A reader pins
-//! a slot, then re-checks `current`: success means no writer can touch
-//! that slot until the pin drops (see the safety argument at the
-//! `unsafe` blocks), so the `Arc` clone races with nothing. A writer
-//! takes a single-writer spinlock, waits for the *non-current* slot's
-//! stragglers to unpin, overwrites it, and only then moves `current` —
-//! so the slot a reader can successfully re-check is never mid-write.
-//!
-//! Every atomic goes through the [`super::sync`] facade, so
-//! `RUSTFLAGS="--cfg delprop_model"` builds run this protocol on the
-//! deterministic model-checking scheduler; `crates/core/tests/model.rs`
-//! asserts a reader never observes a torn or retired epoch while
-//! holding a guard, under bounded-exhaustive and seeded-random
-//! schedules. The `writing` audit flag exists for exactly that test
-//! (and for debug builds): it is set for the duration of each slot
-//! overwrite and asserted unobservable by any successful read.
+//! `crates/core/tests/model.rs` runs the cell's contract (untorn
+//! payloads, epoch numbers matching payloads and never running
+//! backwards, retired guards intact) under the deterministic model
+//! checker; each critical section is one step there, as it contains no
+//! facade operation.
 
-use super::sync::{self, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Number of publication slots. Two suffice: the writer recycles the
-/// non-current slot, waiting out its last readers, so publishes can
-/// proceed indefinitely while readers never block.
-const SLOTS: usize = 2;
-
-struct Slot<T> {
-    /// Readers currently inside the pin/re-check/clone window.
-    pins: AtomicUsize,
-    /// Audit flag: `true` exactly while the writer overwrites this
-    /// slot. A successful read (pinned + re-checked) must never see it.
-    writing: AtomicBool,
-    /// The epoch number stored in this slot.
-    epoch: AtomicU64,
-    /// The published value. `None` only in the not-yet-used second slot
-    /// of a freshly constructed cell, which `current` never names.
-    value: UnsafeCell<Option<Arc<T>>>,
-}
-
-/// An epoch-published, snapshot-shared value: a hand-rolled arc-swap
-/// built on the [`super::sync`] facade (see the module docs for the
-/// protocol and its model-checker coverage).
+/// An epoch-published, snapshot-shared value (see the module docs).
 pub struct EpochCell<T> {
-    slots: [Slot<T>; SLOTS],
-    /// Index of the slot holding the current epoch.
-    current: AtomicUsize,
-    /// Monotone publication counter; the constructor's value is epoch 1.
-    epoch: AtomicU64,
-    /// Single-writer spinlock serializing `publish` calls.
-    write_lock: AtomicBool,
+    /// The current epoch's value and number; the constructor's value is
+    /// epoch 1.
+    current: Mutex<(Arc<T>, u64)>,
 }
-
-// SAFETY: the `UnsafeCell` makes `EpochCell` neither `Send` nor `Sync`
-// automatically. Sharing the cell shares `&T` through snapshot guards
-// and moves `T` into `publish` from any thread, so both bounds require
-// `T: Send + Sync`; the cell-access discipline itself (no concurrent
-// read/write of a slot's value) is established by the pin protocol
-// proven at the `unsafe` blocks below.
-unsafe impl<T: Send + Sync> Send for EpochCell<T> {}
-// SAFETY: see the `Send` impl above — same argument.
-unsafe impl<T: Send + Sync> Sync for EpochCell<T> {}
 
 /// A snapshot guard from [`EpochCell::snapshot`]: derefs to the
 /// published value and keeps that epoch alive (and never reclaimed or
@@ -109,129 +62,47 @@ impl<T> Deref for EpochSnapshot<T> {
 impl<T> EpochCell<T> {
     /// A cell publishing `initial` as epoch 1.
     pub fn new(initial: T) -> Self {
-        let make_slot = |value: Option<Arc<T>>, epoch: u64| Slot {
-            pins: AtomicUsize::new(0),
-            writing: AtomicBool::new(false),
-            epoch: AtomicU64::new(epoch),
-            value: UnsafeCell::new(value),
-        };
         EpochCell {
-            slots: [make_slot(Some(Arc::new(initial)), 1), make_slot(None, 0)],
-            current: AtomicUsize::new(0),
-            epoch: AtomicU64::new(1),
-            write_lock: AtomicBool::new(false),
+            current: Mutex::new((Arc::new(initial), 1)),
         }
+    }
+
+    /// The critical section never panics, so a poisoned lock still
+    /// holds a consistent pair.
+    fn lock(&self) -> MutexGuard<'_, (Arc<T>, u64)> {
+        self.current.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The current epoch number (monotone, starts at 1).
     pub fn epoch(&self) -> u64 {
-        // Ordering: Acquire pairs with the `fetch_add` in `publish`; a
-        // caller sequencing on an observed epoch also observes that
-        // epoch's publication. Monotone, so staleness only under-reports.
-        self.epoch.load(Ordering::Acquire)
+        self.lock().1
     }
 
-    /// Take a snapshot guard on the current epoch. Lock-free: retries
-    /// only while a publish moves `current` mid-pin, never blocks on
-    /// the writer's critical section.
+    /// Take a snapshot guard on the current epoch.
     pub fn snapshot(&self) -> EpochSnapshot<T> {
-        loop {
-            let idx = self.current.load(Ordering::Acquire);
-            // Pin before re-checking. Ordering: AcqRel — the increment
-            // must be ordered before the re-check load (writer-side
-            // pairing in `publish`'s pin-drain loop).
-            self.slots[idx].pins.fetch_add(1, Ordering::AcqRel);
-            if self.current.load(Ordering::Acquire) == idx {
-                // Audit: a successful pin + re-check must exclude any
-                // in-flight overwrite of this slot (torn-read sentinel
-                // for the model suite; free of false positives by the
-                // argument below).
-                debug_assert!(
-                    !self.slots[idx].writing.load(Ordering::Acquire),
-                    "epoch snapshot observed a slot mid-write"
-                );
-                let epoch = self.slots[idx].epoch.load(Ordering::Acquire);
-                // SAFETY: no `&mut` to the cell can exist here. The only
-                // writer is `publish`, which overwrites a slot only (a)
-                // after observing `pins == 0` for it while holding the
-                // write lock, and (b) strictly before re-pointing
-                // `current` at it. Our pin was ordered before the
-                // re-check that observed `current == idx`, so: had a
-                // write to this slot completed after our pin, `current`
-                // could only equal `idx` again after a *second* publish
-                // into the other slot plus a third into this one — and
-                // any publish into this slot after our pin blocks on
-                // our nonzero pin count. Had a write been in flight,
-                // `current` would still name the other slot and the
-                // re-check would have failed. Hence the value is fully
-                // published and no write can start until we unpin.
-                let value = unsafe { (*self.slots[idx].value.get()).clone() };
-                self.slots[idx].pins.fetch_sub(1, Ordering::Release);
-                match value {
-                    Some(value) => return EpochSnapshot { value, epoch },
-                    // `current` never names the `None` slot (see `Slot::
-                    // value` docs); defensively retry rather than panic.
-                    None => {
-                        debug_assert!(false, "current epoch slot was empty");
-                    }
-                }
-            } else {
-                // The publish won the race: unpin and retry against the
-                // new current slot.
-                self.slots[idx].pins.fetch_sub(1, Ordering::Release);
-            }
-            sync::spin_loop();
+        let current = self.lock();
+        EpochSnapshot {
+            value: Arc::clone(&current.0),
+            epoch: current.1,
         }
     }
 
     /// Publish `value` as the next epoch and return its epoch number.
     /// Readers holding snapshot guards keep their epoch; new snapshots
-    /// see this one. Waits only for stragglers still pinning the slot
-    /// retired **two** publishes ago, never for current readers.
+    /// see this one.
     pub fn publish(&self, value: T) -> u64 {
         self.publish_arc(Arc::new(value))
     }
 
     /// [`EpochCell::publish`] from an existing `Arc` (no re-allocation).
     pub fn publish_arc(&self, value: Arc<T>) -> u64 {
-        // Single-writer spinlock. Ordering: Acquire on the winning swap
-        // pairs with the Release store below, making the previous
-        // writer's slot writes visible to this one.
-        while self.write_lock.swap(true, Ordering::Acquire) {
-            sync::spin_loop();
-        }
-        let cur = self.current.load(Ordering::Acquire);
-        let next = (cur + 1) % SLOTS;
-        // Drain stragglers: wait until nobody pins the retired slot.
-        // Readers in the pin window re-check `current`, see `cur`
-        // (unchanged until the store below), and unpin `next` promptly,
-        // so this terminates. Ordering: Acquire pairs with the readers'
-        // Release unpin, ordering their (completed) clone before our
-        // overwrite.
-        while self.slots[next].pins.load(Ordering::Acquire) != 0 {
-            sync::spin_loop();
-        }
-        self.slots[next].writing.store(true, Ordering::Release);
-        // Ordering: AcqRel — the new epoch number must be ordered with
-        // the slot write it describes.
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        self.slots[next].epoch.store(epoch, Ordering::Release);
-        // SAFETY: mutual exclusion with all readers and writers. Other
-        // writers: excluded by the write lock. Readers: a reader clones
-        // only between a successful `current == idx` re-check and its
-        // unpin; for `idx == next` that re-check cannot succeed here,
-        // because `current` still names `cur` until the store below,
-        // and any reader already pinned before our drain loop was
-        // waited out above. So no shared reference into this slot's
-        // cell exists for the duration of this write.
-        unsafe {
-            *self.slots[next].value.get() = Some(value);
-        }
-        self.slots[next].writing.store(false, Ordering::Release);
-        // Ordering: Release — publishing the index publishes the fully
-        // written slot to any reader whose re-check Acquires it.
-        self.current.store(next, Ordering::Release);
-        self.write_lock.store(false, Ordering::Release);
+        let mut current = self.lock();
+        let epoch = current.1 + 1;
+        let retired = std::mem::replace(&mut *current, (value, epoch));
+        // Unlock before the retired epoch drops: it may be the last
+        // reference to a large value, and readers must not wait on it.
+        drop(current);
+        drop(retired);
         epoch
     }
 }
@@ -287,9 +158,8 @@ mod tests {
     #[test]
     fn concurrent_readers_and_writer_tear_nothing() {
         // Stress (not model) version of the model invariant: pairs
-        // published together are read together. Miri covers the
-        // UnsafeCell discipline on this test; the model suite covers
-        // the interleavings.
+        // published together are read together. Miri runs this test
+        // too; the model suite covers the interleavings.
         const PUBLISHES: u64 = if cfg!(miri) { 20 } else { 2_000 };
         const READERS: usize = if cfg!(miri) { 2 } else { 4 };
         let cell = EpochCell::new((0u64, 0u64));
@@ -316,5 +186,28 @@ mod tests {
         });
         assert_eq!(cell.epoch(), PUBLISHES + 1);
         assert_eq!(*cell.snapshot(), (PUBLISHES, PUBLISHES));
+    }
+
+    /// A payload whose drop records whether the cell's lock was free.
+    struct DropProbe(u32);
+
+    static PROBED: std::sync::OnceLock<EpochCell<DropProbe>> = std::sync::OnceLock::new();
+    static DROPS: Mutex<Vec<(u32, bool)>> = Mutex::new(Vec::new());
+
+    impl Drop for DropProbe {
+        fn drop(&mut self) {
+            let unlocked = PROBED.get().is_some_and(|c| c.current.try_lock().is_ok());
+            DROPS.lock().unwrap().push((self.0, unlocked));
+        }
+    }
+
+    #[test]
+    fn retired_epochs_drop_outside_the_lock() {
+        let cell = PROBED.get_or_init(|| EpochCell::new(DropProbe(1)));
+        // No guard outstanding: each publish holds the last reference to
+        // the epoch it retires.
+        assert_eq!(cell.publish(DropProbe(2)), 2);
+        assert_eq!(cell.publish(DropProbe(3)), 3);
+        assert_eq!(*DROPS.lock().unwrap(), [(1, true), (2, true)]);
     }
 }

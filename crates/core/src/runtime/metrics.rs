@@ -16,10 +16,10 @@
 //! `observe` is two `fetch_add`s and a bucket increment — cheap enough
 //! for per-member timings on the racing path.
 
-// Through the facade (not `std::sync::atomic` — xtask lint enforces
-// this), so model builds count through instrumented atomics too. All
-// operations here are Relaxed: metrics are independent monotone
-// counters with no cross-location invariants to order.
+// Through the facade (not `std::sync::atomic` — the analyzer's lint
+// enforces this), so model builds count through instrumented atomics
+// too. All operations here are Relaxed: metrics are independent
+// monotone counters with no cross-location invariants to order.
 use super::sync::{AtomicU64, Ordering};
 
 /// Number of log2 buckets. Bucket 23 is open-ended and starts at
@@ -212,8 +212,6 @@ pub static SOLVE_SOURCE: Counter = Counter::new("solve.source");
 pub static SHARD_PARTITIONS: Counter = Counter::new("shard.partitions");
 /// Per-shard chain runs executed.
 pub static SHARD_SOLVES: Counter = Counter::new("shard.solves");
-/// Successful steals in the work-stealing scheduler.
-pub static SHARD_STEALS: Counter = Counter::new("shard.steals");
 
 /// Wall-clock of each IR compilation, in microseconds.
 pub static IR_COMPILE_MICROS: Histogram = Histogram::new("ir.compile_micros");
@@ -226,7 +224,7 @@ pub static VERIFY_MICROS: Histogram = Histogram::new("portfolio.verify_micros");
 /// wanting stable output should sort by [`Counter::name`] (as
 /// [`render`] does).
 pub fn counters() -> &'static [&'static Counter] {
-    static REGISTRY: [&Counter; 24] = [
+    static REGISTRY: [&Counter; 23] = [
         &BUDGET_TICKS,
         &BUDGET_EXHAUSTIONS,
         &CANCELLATIONS,
@@ -250,7 +248,6 @@ pub fn counters() -> &'static [&'static Counter] {
         &SOLVE_SOURCE,
         &SHARD_PARTITIONS,
         &SHARD_SOLVES,
-        &SHARD_STEALS,
     ];
     &REGISTRY
 }

@@ -370,7 +370,7 @@ impl Portfolio {
     /// Solve by connected-component decomposition: partition the
     /// compiled instance into independent shards, run **this chain's**
     /// [shard-local](Solver::shard_local) members first-verified-wins
-    /// on each shard through the work-stealing scheduler (every shard
+    /// on each shard through the shard scheduler (every shard
     /// task drawing from `budget`'s shared pool), and merge the
     /// certified per-shard solutions (`crate::shard`, DESIGN.md §15).
     /// The report holds one `"sharded"` pseudo-member.

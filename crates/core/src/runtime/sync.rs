@@ -2,7 +2,8 @@
 //!
 //! Every atomic type, fence, spawn, and yield the runtime uses is
 //! imported from here — never from `std::sync::atomic` or
-//! `std::thread` directly (`cargo run -p xtask -- lint` enforces this).
+//! `std::thread` directly (`cargo run -p delprop-analyzer -- lint`
+//! enforces this).
 //! The facade has two personalities:
 //!
 //! - **Normal builds** (`cfg(not(delprop_model))`): zero-cost

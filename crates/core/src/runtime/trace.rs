@@ -269,7 +269,8 @@ impl TraceSink for NoopSink {
 /// validate a snapshot by re-checking `state` after the read.
 ///
 /// The payload is the event's word encoding in plain relaxed atomics
-/// (not `UnsafeCell` + volatile, as in the first version of this ring):
+/// (not an unsafe interior cell plus volatile accesses, as in the first
+/// version of this ring):
 /// a concurrent read/write pair on a word is then an ordinary atomic
 /// race with a well-defined (possibly stale) value, never UB — which is
 /// what lets Miri, ThreadSanitizer, and the `delprop_model` scheduler

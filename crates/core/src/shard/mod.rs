@@ -1,5 +1,5 @@
 //! Shard-parallel solving: connected-component decomposition of a
-//! compiled instance, a work-stealing scheduler over the shards, and a
+//! compiled instance, a shared-cursor scheduler over the shards, and a
 //! merger that sums certified per-shard optima (DESIGN.md §15).
 //!
 //! The soundness argument is the partition invariant from
@@ -32,11 +32,9 @@
 //! [`Guarantee::Heuristic`] with `degraded` set, instead of failing
 //! the merge — mirroring how `delpropd` sheds load under deadline.
 
-pub mod deque;
 pub mod partition;
 pub mod scheduler;
 
-pub use deque::{Steal, StealDeque};
 pub use partition::{partition, Partition, Shard, UnionFind};
 pub use scheduler::run_tasks;
 
@@ -161,7 +159,7 @@ fn component(
 }
 
 /// Partition `ir` into component shards, solve them with the built-in
-/// chain for `objective` on the work-stealing scheduler (each task
+/// chain for `objective` on the shard scheduler (each task
 /// drawing from `budget`'s shared pool through its own handle), and
 /// merge.
 ///

@@ -1,120 +1,44 @@
-//! Work-stealing execution of per-shard solves.
+//! Parallel execution of per-shard solves: one shared task cursor.
 //!
-//! Topology: one global *injector* (an atomic task cursor handing out
-//! contiguous chunks) plus one [`StealDeque`] per worker. A worker
-//! prefers its own deque (LIFO, cache-warm), then claims a fresh chunk
-//! from the injector, then steals the oldest task from a sibling
-//! (FIFO). The injector is just a `fetch_add` cursor rather than a
-//! shared queue: shard tasks are known up front and never spawn
-//! children, so chunk claiming gives the same contention profile as an
-//! injector queue with none of the state.
-//!
-//! Termination: a worker exits only when, within a single scan, its own
-//! deque popped empty, the injector is drained, every victim reported
-//! [`Steal::Empty`], and the completion counter equals the task count.
-//! A [`Steal::Retry`] (lost CAS — somebody else is making progress)
-//! voids the scan, so no task can be left behind in a deque that all
-//! survivors stopped watching.
+//! Shard tasks form a fixed list known up front, and a task never
+//! spawns children, so there is nothing for work stealing to
+//! rebalance: every worker claims the next unclaimed index with one
+//! `fetch_add` until the cursor passes the end. A slow task holds only
+//! its own worker; the others keep draining the cursor. The scope join
+//! is the completion barrier.
 //!
 //! Everything runs on the `runtime/sync` facade, so
-//! `--cfg delprop_model` builds explore the full scheduler (spawn,
-//! deque protocol, injector, termination) under the deterministic
-//! model checker; `crates/core/tests/model.rs` asserts no task is lost
-//! or run twice across schedules.
+//! `--cfg delprop_model` builds explore the scheduler (spawn, cursor,
+//! join) under the deterministic model checker;
+//! `crates/core/tests/model.rs` asserts no task is lost or run twice
+//! across every bounded schedule.
 
-use super::deque::{Steal, StealDeque};
-use crate::runtime::metrics;
 use crate::runtime::sync::{self, AtomicUsize, Ordering};
 
 /// Run `run(0..num_tasks)` across up to `workers` threads, each task
 /// exactly once, in unspecified order. The calling thread is worker 0;
-/// `workers - 1` scoped threads are spawned through the facade. With
-/// one worker (or one task) this degenerates to a sequential loop.
+/// at most `min(workers, num_tasks) - 1` scoped threads are spawned
+/// through the facade, so one worker (or one task) spawns nothing.
 pub fn run_tasks<F>(num_tasks: usize, workers: usize, run: F)
 where
     F: Fn(usize) + Sync,
 {
-    if num_tasks == 0 {
-        return;
-    }
-    let workers = workers.clamp(1, num_tasks);
-    if workers == 1 {
-        for task in 0..num_tasks {
-            run(task);
-        }
-        return;
-    }
-
-    // Chunks amortize injector contention while leaving enough slack
-    // (4× workers) for stealing to rebalance skewed task costs.
-    let chunk = (num_tasks / (4 * workers)).max(1);
-    let injector = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let deques: Vec<StealDeque> = (0..workers).map(|_| StealDeque::new(chunk)).collect();
-
-    let finish = |task: usize| {
-        run(task);
-        // ordering: Release pairs with the Acquire load in the
-        // termination check — a worker that sees `done == num_tasks`
-        // also sees every task's side effects.
-        done.fetch_add(1, Ordering::Release);
-    };
-
-    let worker_loop = |me: usize| loop {
-        // 1. Own deque first.
-        if let Some(task) = deques[me].pop() {
-            finish(task);
-            continue;
-        }
-        // 2. Claim a chunk from the injector: run the first task now,
-        // expose the rest to thieves (full deque → run inline).
-        // ordering: Relaxed — the ticket value itself is the claim;
-        // tasks carry no cross-thread data until `done` is released.
-        let start = injector.fetch_add(chunk, Ordering::Relaxed);
-        if start < num_tasks {
-            let end = (start + chunk).min(num_tasks);
-            for task in start + 1..end {
-                if let Err(task) = deques[me].push(task) {
-                    finish(task);
-                }
-            }
-            finish(start);
-            continue;
-        }
-        // 3. Steal the oldest task from a sibling.
-        let mut contended = false;
-        let mut stolen = None;
-        for offset in 1..workers {
-            match deques[(me + offset) % workers].steal() {
-                Steal::Taken(task) => {
-                    metrics::SHARD_STEALS.inc();
-                    stolen = Some(task);
-                    break;
-                }
-                Steal::Retry => contended = true,
-                Steal::Empty => {}
-            }
-        }
-        if let Some(task) = stolen {
-            finish(task);
-            continue;
-        }
-        // 4. Nothing anywhere. A lost steal race means someone else is
-        // mid-transfer, so only a fully quiet scan may terminate.
-        // ordering: Acquire pairs with each worker's Release
-        // increment, so termination observes all completed work.
-        if !contended && done.load(Ordering::Acquire) >= num_tasks {
+    let next = AtomicUsize::new(0);
+    let worker_loop = || loop {
+        // ordering: Relaxed — the ticket value itself is the claim, and
+        // the scope join publishes every task's side effects.
+        let task = next.fetch_add(1, Ordering::Relaxed);
+        if task >= num_tasks {
             break;
         }
-        sync::thread::yield_now();
+        run(task);
     };
 
     sync::thread::scope(|scope| {
-        let worker_loop = &worker_loop;
-        for w in 1..workers {
-            scope.spawn(move || worker_loop(w));
+        for _ in 1..workers.min(num_tasks) {
+            scope.spawn(worker_loop);
         }
-        worker_loop(0);
+        worker_loop();
     });
 }
 
@@ -150,8 +74,8 @@ mod tests {
 
     #[test]
     fn skewed_task_costs_still_complete() {
-        // Task 0 is much slower than the rest: thieves must drain the
-        // slow worker's deque for the run to finish promptly.
+        // Task 0 is much slower than the rest: the other workers must
+        // drain the cursor around it for the run to finish promptly.
         let seen: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
         run_tasks(64, 4, |t| {
             let spins = if t == 0 { 20_000 } else { 10 };

@@ -11,9 +11,9 @@
 //!
 //! This module is the repository's **only sanctioned
 //! `thread::sleep`** outside fault injection and tests (enforced by
-//! `cargo run -p xtask -- lint`, rule *no-sleep*): every delay here is
-//! bounded by the request deadline, so a sleeping retry can never
-//! outlive the request that asked for it.
+//! `cargo run -p delprop-analyzer -- lint`, rule *no-sleep*): every
+//! delay here is bounded by the request deadline, so a sleeping retry
+//! can never outlive the request that asked for it.
 
 use std::time::{Duration, Instant};
 

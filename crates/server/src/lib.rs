@@ -15,7 +15,7 @@
 //! - epoch snapshots — the live instance is published through
 //!   [`delprop_core::runtime::EpochCell`], so in-flight requests keep
 //!   solving against the snapshot they started with while a publish
-//!   installs the next epoch without blocking readers;
+//!   swaps in the next epoch under a lock held for one `Arc` swap;
 //! - [`admission`] — a bounded admission [`admission::Gate`] (global
 //!   and per-tenant concurrency limits, bounded wait queue) that sheds
 //!   load with typed `Overloaded` rejections instead of queueing

@@ -139,7 +139,7 @@ pub struct SolveRequest {
     /// Race the portfolio (default: the server's configured mode).
     pub racing: Option<bool>,
     /// Partition into component shards and solve each through the
-    /// work-stealing scheduler with the serving portfolio's shard-local
+    /// shard scheduler with the serving portfolio's shard-local
     /// members (default: off; wins over `racing` when both are set).
     pub sharded: Option<bool>,
 }

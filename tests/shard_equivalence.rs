@@ -1,6 +1,6 @@
 //! Differential equivalence of the sharded solve path (DESIGN.md §15):
 //! partitioning a multi-component instance and solving each component
-//! through the work-stealing scheduler must reproduce — byte for byte
+//! through the shard scheduler must reproduce — byte for byte
 //! on the cost — what the same deterministic chain reports on the whole
 //! instance, because connected components are fully independent
 //! subproblems. Also pins the single-component fast path (the partition
