@@ -1399,7 +1399,7 @@ pub fn ex_yan() -> String {
             .unwrap();
         let c = CompiledQuery::compile(&q);
         let t0 = Instant::now();
-        let mut hj = hashjoin::evaluate(&db, &c);
+        let mut hj = hashjoin::evaluate(&db, &c, &[]);
         let t_hj = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
         let mut yk = yannakakis::evaluate(&db, &c).expect("chain is acyclic");

@@ -52,16 +52,7 @@ impl Problem {
             }
         }
         let views = ViewSet::materialize(&db, &queries)?;
-        let weights = views.views.iter().map(|v| vec![1.0; v.len()]).collect();
-        Ok(Problem {
-            db: Arc::new(db),
-            queries: Arc::new(queries),
-            views: Arc::new(views),
-            deletions: BTreeSet::new(),
-            weights,
-            generation: 0,
-            compiled: OnceLock::new(),
-        })
+        Ok(Problem::from_parts(db, queries, views))
     }
 
     /// Build an instance whose queries are key-preserving only **under
@@ -109,8 +100,14 @@ impl Problem {
                 }
             }
         }
+        Ok(Problem::from_parts(db, queries, views))
+    }
+
+    /// Assemble an instance from already validated parts, with an empty
+    /// `ΔV` and unit weights.
+    fn from_parts(db: Database, queries: Vec<BoundQuery>, views: ViewSet) -> Problem {
         let weights = views.views.iter().map(|v| vec![1.0; v.len()]).collect();
-        Ok(Problem {
+        Problem {
             db: Arc::new(db),
             queries: Arc::new(queries),
             views: Arc::new(views),
@@ -118,7 +115,19 @@ impl Problem {
             weights,
             generation: 0,
             compiled: OnceLock::new(),
-        })
+        }
+    }
+
+    /// An instance whose stored views are taken as given instead of
+    /// materialized from `db`, so tests can make them disagree with the
+    /// database and check that verification notices.
+    #[cfg(test)]
+    pub(crate) fn with_stored_views(
+        db: Database,
+        queries: Vec<BoundQuery>,
+        views: ViewSet,
+    ) -> Problem {
+        Problem::from_parts(db, queries, views)
     }
 
     /// The source database.

@@ -4,10 +4,13 @@
 //! behind `catch_unwind`, and **never** reports a solution it has not
 //! verified: candidates must pass `Solution::is_feasible` (standard
 //! objective) and `Solution::verify_by_reevaluation` (both objectives)
-//! inside their own panic boundary. A member that panics, errors, times
-//! out, or returns garbage is recorded in the report and the chain moves
-//! on; the caller always gets either a verified [`Solution`] or a typed
-//! [`CoreError`].
+//! inside their own panic boundary. Re-evaluation runs the query
+//! evaluator over `D ∖ ΔD` in place — it skips the tuples of `ΔD`
+//! rather than deleting them from a copy of the database — and compares
+//! every view tuple with the witness-shortcut prediction. A member that
+//! panics, errors, times out, or returns garbage is recorded in the
+//! report and the chain moves on; the caller always gets either a
+//! verified [`Solution`] or a typed [`CoreError`].
 //!
 //! [`Portfolio::solve_racing`] is the thread-parallel sibling of
 //! [`Portfolio::solve_best`]: every applicable member runs on its own
@@ -204,8 +207,8 @@ enum Strategy {
 /// What a member's output is verified against.
 #[derive(Clone, Copy)]
 enum Check<'a> {
-    /// A whole instance: feasibility plus ground-truth re-evaluation on
-    /// the problem itself.
+    /// A whole instance: feasibility plus ground-truth re-evaluation of
+    /// every query over `D ∖ ΔD`, in place on the problem's own database.
     Problem(&'a Problem),
     /// One component shard: feasibility and cost on the shard IR. The
     /// merge re-checks the union on the full IR.
@@ -603,10 +606,12 @@ impl Portfolio {
     ///
     /// - standard objective: the solution must eliminate every `ΔV` tuple
     ///   (`is_feasible`) **and**, on a whole instance, survive
-    ///   ground-truth re-materialization (`verify_by_reevaluation`, whose
+    ///   ground-truth re-evaluation (`verify_by_reevaluation`: every query
+    ///   re-evaluated over `D ∖ ΔD` with `ΔD` skipped, no database copy,
+    ///   each view tuple checked against the witness shortcut; its
     ///   re-evaluated side-effect is the verified cost);
     /// - balanced objective: every `ΔD` is feasible by definition, so
-    ///   only the re-materialization cross-check applies.
+    ///   only the re-evaluation cross-check applies.
     ///
     /// Inside a shard, feasibility and cost are evaluated on the shard
     /// IR; the merge re-checks the union on the full IR.

@@ -3,10 +3,12 @@
 //! Everything here evaluates through the unique-witness property: a
 //! key-preserving view tuple is eliminated by `ΔD` iff its witness set
 //! intersects `ΔD`. [`Solution::verify_by_reevaluation`] cross-checks that
-//! shortcut against full re-materialization and is used heavily in tests.
+//! shortcut by re-evaluating every query over `D ∖ ΔD` in place — the
+//! evaluator skips the tuples of `ΔD`, so the database is never copied —
+//! and the portfolio runs it on every candidate it accepts.
 
 use crate::problem::Problem;
-use delprop_query::{ViewSet, ViewTupleId};
+use delprop_query::{View, ViewTuple, ViewTupleId};
 use delprop_relation::TupleId;
 use std::collections::BTreeSet;
 
@@ -83,37 +85,65 @@ impl Solution {
         missed + self.side_effect(problem) + 0.0
     }
 
-    /// Ground-truth check: tombstone `ΔD` on a copy of the database,
-    /// re-materialize every view, and verify that the surviving view
-    /// tuples are exactly those the witness shortcut predicts. Returns the
-    /// re-evaluated side-effect.
+    /// Ground-truth check: re-evaluate every query over `D ∖ ΔD` and
+    /// verify that the surviving view tuples are exactly those the
+    /// witness shortcut predicts. Returns the re-evaluated side-effect.
+    ///
+    /// The re-evaluation runs the hash-join evaluator with `ΔD` as its
+    /// skip set ([`View::materialize_without`]), so the database is
+    /// neither copied nor mutated, and it does not consult the IR or the
+    /// stored witness sets: it is an independent check of the shortcut.
+    /// Stored and re-evaluated views are walked together in their shared
+    /// head order, with `ΔV` walked in step; every stored tuple is
+    /// compared with its prediction, and a re-evaluated head the stored
+    /// view lacks is rejected (deletions cannot create view tuples).
     ///
     /// # Panics
     /// Panics if prediction and re-evaluation disagree (that would be a
     /// provenance bug, not bad input).
     pub fn verify_by_reevaluation(&self, problem: &Problem) -> f64 {
-        let mut db = problem.db().clone();
-        let ids: Vec<TupleId> = self.deleted.iter().copied().collect();
-        db.delete_all(&ids);
-        let reeval = ViewSet::materialize(&db, problem.queries())
-            .expect("re-materialization of a valid problem cannot fail");
+        let gone: Vec<TupleId> = self.deleted.iter().copied().collect();
+        let mut demanded = problem.deletions().iter().peekable();
         let mut side_effect = 0.0;
         for (vi, view) in problem.views().views.iter().enumerate() {
-            let new_view = &reeval.views[vi];
+            let reeval = View::materialize_without(problem.db(), &view.query, &gone)
+                .expect("re-materialization of a valid problem cannot fail");
+            let lacks = |nt: &ViewTuple| {
+                format!(
+                    "re-evaluation produced head {}, which stored view V{vi} lacks",
+                    nt.head
+                )
+            };
+            let mut fresh = reeval.tuples.iter().peekable();
             for (ti, vt) in view.tuples.iter().enumerate() {
                 let id = ViewTupleId::new(vi, ti);
-                let survived = new_view.position_of(&vt.head).is_some();
-                let predicted = !self.eliminates(problem, id);
+                let survived = match fresh.peek() {
+                    Some(nt) if nt.head == vt.head => {
+                        fresh.next();
+                        true
+                    }
+                    Some(nt) => {
+                        assert!(nt.head > vt.head, "{}", lacks(nt));
+                        false
+                    }
+                    None => false,
+                };
+                let predicted = !vt
+                    .unique_witnesses()
+                    .iter()
+                    .any(|t| gone.binary_search(t).is_ok());
                 assert_eq!(
                     survived, predicted,
                     "witness shortcut disagrees with re-evaluation on {id}"
                 );
-                if !survived && !problem.is_deleted(id) {
+                let is_demanded = demanded.next_if_eq(&&id).is_some();
+                if !survived && !is_demanded {
                     side_effect += problem.weight(id);
                 }
             }
-            // Key-preserving views cannot gain tuples under deletion.
-            assert!(new_view.len() <= view.len());
+            if let Some(nt) = fresh.next() {
+                panic!("{}", lacks(nt));
+            }
         }
         side_effect
     }
@@ -139,8 +169,8 @@ impl Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delprop_query::parse_query;
-    use delprop_relation::{tup, Database, RelationSchema, Schema, Value};
+    use delprop_query::{parse_query, ViewSet};
+    use delprop_relation::{tup, Database, RelationSchema, Schema, Tuple, Value};
 
     fn fig1() -> (Problem, Database) {
         let schema = Schema::from_relations([
@@ -237,6 +267,65 @@ mod tests {
         assert_eq!(r.deleted.len(), 1);
         assert!(r.deleted.contains(&useful));
         assert!(r.side_effect(&p) <= s.side_effect(&p));
+    }
+
+    /// Fig. 1's Q4 instance with its stored view edited by `edit`, so the
+    /// view disagrees with the database it claims to come from.
+    fn tampered(edit: impl FnOnce(&mut Vec<ViewTuple>)) -> (Problem, Database) {
+        let (p, d) = fig1();
+        let mut view = p.views().views[0].clone();
+        edit(&mut view.tuples);
+        let views = ViewSet::from_views(vec![view]);
+        let tampered = Problem::with_stored_views(d.clone(), p.queries().to_vec(), views);
+        (tampered, d)
+    }
+
+    fn drop_head(tuples: &mut Vec<ViewTuple>, head: Tuple) {
+        let at = tuples.iter().position(|vt| vt.head == head).unwrap();
+        tuples.remove(at);
+    }
+
+    #[test]
+    #[should_panic(expected = "witness shortcut disagrees")]
+    fn verification_rejects_a_missing_witness() {
+        // (John, TKDE, XML) forgets its T1 witness, so the shortcut says
+        // deleting T1(John, TKDE) leaves it alone; re-evaluation kills it.
+        let (p, d) = tampered(|tuples| {
+            let vt = tuples
+                .iter_mut()
+                .find(|vt| vt.head == tup!["John", "TKDE", "XML"])
+                .unwrap();
+            let t2_only: Vec<TupleId> = vt.witness_sets[0][1..].to_vec();
+            vt.witness_sets = vec![t2_only.into_boxed_slice()];
+        });
+        let s = Solution::from_tuples([tid(&d, "T1", &[Value::str("John"), Value::str("TKDE")])]);
+        s.verify_by_reevaluation(&p);
+    }
+
+    #[test]
+    #[should_panic(expected = "which stored view V0 lacks")]
+    fn verification_rejects_a_head_the_stored_view_lacks() {
+        // A head in the middle of the view's order is missing.
+        let (p, _) = tampered(|tuples| drop_head(tuples, tup!["John", "TKDE", "XML"]));
+        Solution::empty().verify_by_reevaluation(&p);
+    }
+
+    #[test]
+    #[should_panic(expected = "which stored view V0 lacks")]
+    fn verification_rejects_a_trailing_head_the_stored_view_lacks() {
+        // The last head in the view's order is missing.
+        let (p, _) = tampered(|tuples| {
+            let last = tuples.last().unwrap().head.clone();
+            drop_head(tuples, last);
+        });
+        Solution::empty().verify_by_reevaluation(&p);
+    }
+
+    #[test]
+    fn untampered_stored_views_verify() {
+        let (p, d) = tampered(|_| {});
+        let s = Solution::from_tuples([tid(&d, "T1", &[Value::str("John"), Value::str("TKDE")])]);
+        assert_eq!(s.verify_by_reevaluation(&p), 2.0);
     }
 
     #[test]

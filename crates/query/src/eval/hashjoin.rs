@@ -7,14 +7,31 @@
 //! matches probe that index. This avoids the naive engine's full scans per
 //! partial match and evaluates acyclic joins in time close to
 //! input + output.
+//!
+//! Evaluation runs over `D ∖ gone` for a sorted set of tuple ids `gone`:
+//! the index-build scan skips those tuples, so re-evaluating a query after
+//! a deletion `ΔD` needs no copy of the database. An empty `gone`
+//! evaluates over `D` itself.
 
 use super::{CompiledQuery, QueryMatch, Slot};
-use delprop_relation::{Database, TupleId, Value};
+use delprop_relation::{Database, RelationId, TupleId, Value};
 use std::collections::HashMap;
 
-/// Evaluate `query` on the live tuples of `db`, returning all matches.
-pub fn evaluate(db: &Database, query: &CompiledQuery) -> Vec<QueryMatch> {
-    let order = atom_order(db, query);
+/// Evaluate `query` on the live tuples of `db` that are not in `gone`,
+/// returning all matches.
+///
+/// `gone` must be sorted ascending without duplicates (the order a
+/// `BTreeSet<TupleId>` iterates in). Ids that are not live in `db` are
+/// ignored.
+///
+/// # Panics
+/// Panics if `gone` is not strictly ascending.
+pub fn evaluate(db: &Database, query: &CompiledQuery, gone: &[TupleId]) -> Vec<QueryMatch> {
+    assert!(
+        gone.windows(2).all(|w| w[0] < w[1]),
+        "hashjoin::evaluate: `gone` must be strictly ascending"
+    );
+    let order = atom_order(db, query, gone);
 
     // Partial matches: assignment + witnesses aligned to `order` prefix.
     let mut partials: Vec<(Vec<Option<Value>>, Vec<TupleId>)> =
@@ -41,9 +58,17 @@ pub fn evaluate(db: &Database, query: &CompiledQuery) -> Vec<QueryMatch> {
         }
 
         // Build index: probe-key -> candidate (tid, tuple) list. Constant
-        // positions are filtered during the build.
+        // positions and `gone` tuples are filtered during the build; the
+        // scan ascends by slot, so one cursor walks `gone` in step.
         let mut index: HashMap<Vec<Value>, Vec<TupleId>> = HashMap::new();
+        let mut skip = gone_in(gone, atom.relation);
         'tuples: for (tid, tuple) in db.live_tuples(atom.relation) {
+            while skip.first().is_some_and(|&g| g < tid) {
+                skip = &skip[1..];
+            }
+            if skip.first() == Some(&tid) {
+                continue;
+            }
             for (pos, slot) in atom.slots.iter().enumerate() {
                 match slot {
                     Slot::Const(c) if c != &tuple[pos] => continue 'tuples,
@@ -109,12 +134,32 @@ pub fn evaluate(db: &Database, query: &CompiledQuery) -> Vec<QueryMatch> {
         .collect()
 }
 
+/// The ids of `gone` in relation `rel`: one contiguous run, because
+/// `TupleId` orders by relation first.
+fn gone_in(gone: &[TupleId], rel: RelationId) -> &[TupleId] {
+    let lo = gone.partition_point(|t| t.relation < rel);
+    let len = gone[lo..].partition_point(|t| t.relation == rel);
+    &gone[lo..lo + len]
+}
+
 /// Greedy join order: start from the smallest relation, then repeatedly take
 /// the atom sharing the most bound variables (ties: smaller relation).
+/// Sizes count the live tuples of `D ∖ gone`, so the order is the one a
+/// database with `gone` deleted would get.
 #[allow(clippy::needless_range_loop)] // parallel arrays indexed together
-fn atom_order(db: &Database, query: &CompiledQuery) -> Vec<usize> {
+fn atom_order(db: &Database, query: &CompiledQuery, gone: &[TupleId]) -> Vec<usize> {
     let n = query.atoms.len();
-    let size = |ai: usize| db.relation(query.atoms[ai].relation).len();
+    let sizes: Vec<usize> = query
+        .atoms
+        .iter()
+        .map(|atom| {
+            let live_gone = gone_in(gone, atom.relation)
+                .iter()
+                .filter(|&&t| db.is_live(t))
+                .count();
+            db.relation(atom.relation).len() - live_gone
+        })
+        .collect();
     let vars_of = |ai: usize| -> Vec<usize> {
         query.atoms[ai]
             .slots
@@ -135,7 +180,7 @@ fn atom_order(db: &Database, query: &CompiledQuery) -> Vec<usize> {
                 continue;
             }
             let shared = vars_of(ai).iter().filter(|&&v| bound[v]).count();
-            let sz = size(ai);
+            let sz = sizes[ai];
             let better = match best {
                 None => true,
                 Some((_, bs, bsz)) => {
@@ -185,7 +230,7 @@ mod tests {
         let q = parse_query(src).unwrap().bind(d.schema()).unwrap();
         let c = CompiledQuery::compile(&q);
         let mut a = naive::evaluate(d, &c);
-        let mut b = evaluate(d, &c);
+        let mut b = evaluate(d, &c, &[]);
         sort_matches(&mut a);
         sort_matches(&mut b);
         (a, b)
@@ -246,7 +291,7 @@ mod tests {
             .bind(d.schema())
             .unwrap();
         let c = CompiledQuery::compile(&q);
-        for m in evaluate(&d, &c) {
+        for m in evaluate(&d, &c, &[]) {
             // witness 0 must be a B tuple, witness 1 an A tuple
             let bid = d.schema().relation_id("B").unwrap();
             let aid = d.schema().relation_id("A").unwrap();

@@ -93,7 +93,7 @@ mod tests {
             .unwrap();
         let c = CompiledQuery::compile(&q);
         let mut a = naive::evaluate(&d, &c);
-        let mut b = hashjoin::evaluate(&d, &c);
+        let mut b = hashjoin::evaluate(&d, &c, &[]);
         sort_matches(&mut a);
         sort_matches(&mut b);
         assert_eq!(a, b);
@@ -113,7 +113,7 @@ mod tests {
             .bind(d.schema())
             .unwrap();
         let c = CompiledQuery::compile(&q);
-        let ms = hashjoin::evaluate(&d, &c);
+        let ms = hashjoin::evaluate(&d, &c, &[]);
         assert!(ms.iter().any(|m| m.head(&c) == tup!["XML", "John"]));
     }
 }

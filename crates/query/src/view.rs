@@ -71,8 +71,22 @@ pub struct View {
 impl View {
     /// Materialize `query` over `db` with the hash-join engine.
     pub fn materialize(db: &Database, query: &BoundQuery) -> Result<View, QueryError> {
+        View::materialize_without(db, query, &[])
+    }
+
+    /// Materialize `query` over `D ∖ gone`, as if the tuples of `gone`
+    /// were deleted from `db`, without copying or mutating `db`. This is
+    /// how verification re-evaluates the views under a solution `ΔD`.
+    ///
+    /// `gone` must be sorted ascending without duplicates (see
+    /// [`hashjoin::evaluate`]); ids that are not live in `db` are ignored.
+    pub fn materialize_without(
+        db: &Database,
+        query: &BoundQuery,
+        gone: &[TupleId],
+    ) -> Result<View, QueryError> {
         let compiled = CompiledQuery::compile(query);
-        let matches = hashjoin::evaluate(db, &compiled);
+        let matches = hashjoin::evaluate(db, &compiled, gone);
         let key_preserving = is_key_preserving(query, db.schema());
 
         let mut by_head: BTreeMap<Tuple, Vec<Box<[TupleId]>>> = BTreeMap::new();
@@ -236,14 +250,17 @@ mod tests {
     use crate::parse::parse_query;
     use delprop_relation::{tup, Database, RelationSchema, Schema, Value};
 
-    /// Fig. 1 of the paper.
-    fn fig1() -> Database {
-        let schema = Schema::from_relations([
+    fn fig1_schema() -> Schema {
+        Schema::from_relations([
             RelationSchema::new("T1", 2, vec![0, 1]).unwrap(),
             RelationSchema::new("T2", 3, vec![0, 1]).unwrap(),
         ])
-        .unwrap();
-        let mut d = Database::new(schema);
+        .unwrap()
+    }
+
+    /// Fig. 1 of the paper.
+    fn fig1() -> Database {
+        let mut d = Database::new(fig1_schema());
         for t in [
             tup!["Joe", "TKDE"],
             tup!["John", "TKDE"],
@@ -345,6 +362,113 @@ mod tests {
         let reeval = View::materialize(&d, &q4).unwrap();
         let actual: Vec<_> = reeval.tuples.iter().map(|vt| vt.head.clone()).collect();
         assert_eq!(predicted, actual);
+    }
+
+    /// `materialize_without(db, q, gone)` against `materialize` on a copy
+    /// of `db` with `gone` deleted.
+    fn assert_without_matches_copy(d: &Database, q: &BoundQuery, gone: &[TupleId]) {
+        let mut copy = d.clone();
+        copy.delete_all(gone);
+        let expected = View::materialize(&copy, q).unwrap();
+        let got = View::materialize_without(d, q, gone).unwrap();
+        assert_eq!(got.tuples, expected.tuples, "gone = {gone:?}");
+        assert_eq!(got.key_preserving, expected.key_preserving);
+    }
+
+    /// [`assert_without_matches_copy`] for every subset of `d`'s tuples,
+    /// the empty one (plain `materialize`) included.
+    fn assert_every_subset_matches_copy(d: &Database, q: &BoundQuery) {
+        let ids: Vec<TupleId> = d.live_ids().collect();
+        for mask in 0u32..(1 << ids.len()) {
+            let gone: Vec<TupleId> = (0..ids.len())
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| ids[i])
+                .collect();
+            assert_without_matches_copy(d, q, &gone);
+        }
+    }
+
+    #[test]
+    fn materialize_without_equals_deleting_from_a_copy() {
+        let d = fig1();
+        for src in [
+            "Q4(x, y, z) :- T1(x, y), T2(y, z, w)",
+            "Q3(x, z) :- T1(x, y), T2(y, z, w)",
+        ] {
+            assert_every_subset_matches_copy(&d, &bind(&d, src));
+        }
+    }
+
+    #[test]
+    fn materialize_without_orders_joins_by_surviving_sizes() {
+        // (John, XML) has two witness sets, {T1#1, T2#2} and {T1#2, T2#1};
+        // which comes first depends on which atom the join starts from,
+        // and that depends on the relation sizes left after deletion.
+        let mut d = Database::new(fig1_schema());
+        for t in [tup!["Tom", "C"], tup!["John", "A"], tup!["John", "B"]] {
+            d.insert("T1", t).unwrap();
+        }
+        for t in [
+            tup!["C", "CUBE", 1],
+            tup!["B", "XML", 1],
+            tup!["A", "XML", 1],
+        ] {
+            d.insert("T2", t).unwrap();
+        }
+        assert_every_subset_matches_copy(&d, &bind(&d, "Q3(x, z) :- T1(x, y), T2(y, z, w)"));
+    }
+
+    #[test]
+    fn materialize_without_skips_tombstones_and_unknown_ids() {
+        let mut d = fig1();
+        let t1 = d.schema().relation_id("T1").unwrap();
+        let t2 = d.schema().relation_id("T2").unwrap();
+        let john_tkde = d
+            .find_by_key(t1, &[Value::str("John"), Value::str("TKDE")])
+            .unwrap();
+        d.delete(john_tkde);
+        let q = bind(&d, "Q4(x, y, z) :- T1(x, y), T2(y, z, w)");
+        let tkde_xml = d
+            .find_by_key(t2, &[Value::str("TKDE"), Value::str("XML")])
+            .unwrap();
+        // An already-tombstoned id, a live one, and ids past the end of
+        // a relation and of the schema.
+        let mut gone = vec![
+            john_tkde,
+            TupleId::new(t1, 99),
+            tkde_xml,
+            TupleId::new(delprop_relation::RelationId(7), 0),
+        ];
+        gone.sort_unstable();
+        assert_without_matches_copy(&d, &q, &gone);
+    }
+
+    #[test]
+    fn materialize_without_dedups_self_join_witnesses() {
+        let schema =
+            Schema::from_relations([RelationSchema::new("E", 2, vec![0, 1]).unwrap()]).unwrap();
+        let mut d = Database::new(schema);
+        for (a, b) in [(1, 1), (1, 2), (2, 1), (2, 3), (3, 3)] {
+            d.insert("E", tup![a, b]).unwrap();
+        }
+        let q = bind(&d, "Q(x, y) :- E(x, y), E(y, x)");
+        assert_every_subset_matches_copy(&d, &q);
+        let ids: Vec<TupleId> = d.live_ids().collect();
+        // (1,1) and (3,3) join with themselves: one deduplicated witness.
+        let v = View::materialize_without(&d, &q, &ids[..1]).unwrap();
+        assert_eq!(v.len(), 3);
+        assert!(v.tuples.iter().all(|vt| vt.witness_sets.len() == 1));
+        assert_eq!(v.tuples[v.len() - 1].witness_sets[0].len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn materialize_without_rejects_unsorted_sets() {
+        let d = fig1();
+        let q = bind(&d, "Q4(x, y, z) :- T1(x, y), T2(y, z, w)");
+        let mut ids: Vec<TupleId> = d.live_ids().collect();
+        ids.reverse();
+        let _ = View::materialize_without(&d, &q, &ids);
     }
 
     #[test]

@@ -127,7 +127,7 @@ fn three_engines_agree() {
         let q = parse_query(src).unwrap().bind(db.schema()).unwrap();
         let c = CompiledQuery::compile(&q);
         let mut a = naive::evaluate(&db, &c);
-        let mut b = hashjoin::evaluate(&db, &c);
+        let mut b = hashjoin::evaluate(&db, &c, &[]);
         let mut y = yannakakis::evaluate(&db, &c).expect("acyclic shapes");
         sort_matches(&mut a);
         sort_matches(&mut b);

@@ -185,7 +185,7 @@ fn engines_agree() {
         let q = parse_query(src).unwrap().bind(db.schema()).unwrap();
         let c = CompiledQuery::compile(&q);
         let mut a = naive::evaluate(&db, &c);
-        let mut b = hashjoin::evaluate(&db, &c);
+        let mut b = hashjoin::evaluate(&db, &c, &[]);
         sort_matches(&mut a);
         sort_matches(&mut b);
         assert_eq!(a, b, "case {case}: {src}");
