@@ -6,10 +6,11 @@
 //! key-preserving structure makes maintenance local: a view deletion
 //! only touches the base tuples on its witness path and, through the
 //! provenance incidence, the view tuples sharing those bases. [`Engine`]
-//! exploits that. It materializes the views, the witness provenance
-//! (`ProvenanceIndex`) and the ΔV-independent IR layer
-//! ([`crate::ir::StaticLayer`]) **once**, then services a stream of ΔV
-//! batches ([`DeltaBatch`]) DRed-style:
+//! exploits that. It materializes the views and the ΔV-independent IR
+//! layer ([`crate::ir::StaticLayer`], whose interned uid paths and
+//! occurrence CSR are the witness provenance in both directions)
+//! **once**, then services a stream of ΔV batches ([`DeltaBatch`])
+//! DRed-style:
 //!
 //! 1. **Overdeletion closure** — deleting view tuple `v` reference-counts
 //!    every base tuple on `path(v)` into the candidate set; each base
@@ -35,8 +36,9 @@
 //! Membership is the refcounts themselves: the candidate uids and the
 //! vulnerable view tuples are plain [`BitSet`]s that flip exactly on
 //! their counters' 0↔1 transitions, and the demand set is the ΔV
-//! bitset. A projection walks the three bitsets in ascending order, so
-//! it needs no sorting and no compaction. The projected IR is installed
+//! bitset. A projection hands the three bitsets' members, ascending, to
+//! `assemble` as dense indices, so it needs no sorting, no compaction
+//! and no id lookups. The projected IR is installed
 //! into the shadow problem's cache stamped with its mutation generation,
 //! so every existing solver / portfolio / verification entry point works
 //! unchanged — and [`Problem::verify_compiled`] rejects any stale IR a
@@ -67,15 +69,12 @@
 //! assert_eq!(engine.problem().norm_delta(), 0);
 //! ```
 
-mod provenance;
-
 use crate::error::CoreError;
 use crate::ir::{ActiveParts, CompiledInstance, StaticLayer};
 use crate::problem::Problem;
 use crate::runtime::metrics;
 use delprop_query::ViewTupleId;
 use delprop_setcover::BitSet;
-use provenance::ProvenanceIndex;
 use std::sync::Arc;
 
 /// One ΔV maintenance step: view tuples to delete and deletions to
@@ -139,7 +138,6 @@ pub struct Engine {
     /// Exposed read-only — all mutation goes through [`Engine::apply`].
     problem: Problem,
     statics: Arc<StaticLayer>,
-    prov: Arc<ProvenanceIndex>,
     /// ΔV membership over the dense view layout (the demand set).
     deleted: BitSet,
     /// Per-uid: number of ΔV members whose witness path contains it.
@@ -161,9 +159,8 @@ impl Engine {
     /// so `problem().compiled()` is warm from the start.
     pub fn new(problem: Problem) -> Result<Engine, CoreError> {
         let statics = Arc::new(StaticLayer::build(&problem));
-        let prov = Arc::new(ProvenanceIndex::build(&statics));
-        let norm_v = statics.norm_v();
-        let universe = prov.universe_len();
+        let norm_v = statics.norm_v;
+        let universe = statics.universe.len();
         let mut engine = Engine {
             problem,
             deleted: BitSet::new(norm_v),
@@ -172,14 +169,10 @@ impl Engine {
             cands: BitSet::new(universe),
             vuln: BitSet::new(norm_v),
             statics,
-            prov,
         };
         let initial: Vec<ViewTupleId> = engine.problem.deletions().iter().copied().collect();
-        let mut report = DeltaReport::default();
-        for id in initial {
-            engine.raw_delete(engine.statics.dense(id), &mut report);
-        }
-        engine.project();
+        let initial = engine.resolve(&initial)?;
+        engine.apply_resolved(&initial, &[]);
         Ok(engine)
     }
 
@@ -203,32 +196,9 @@ impl Engine {
     /// the refreshed projection. All ids are validated **before** any
     /// state changes, so an `Err` leaves the engine exactly as it was.
     pub fn apply(&mut self, batch: &DeltaBatch) -> Result<DeltaReport, CoreError> {
-        for &id in batch.delete.iter().chain(&batch.restore) {
-            self.validate(id)?;
-        }
-        let mut report = DeltaReport::default();
-        for &id in &batch.delete {
-            if !self.problem.is_deleted(id) {
-                self.problem
-                    .mark_deleted_id(id)
-                    .expect("validated before mutation");
-                self.raw_delete(self.statics.dense(id), &mut report);
-                report.deleted += 1;
-            }
-        }
-        for &id in &batch.restore {
-            if self
-                .problem
-                .unmark_deleted_id(id)
-                .expect("validated before mutation")
-            {
-                self.raw_restore(self.statics.dense(id), &mut report);
-                report.restored += 1;
-            }
-        }
-        self.project();
-        report.generation = self.problem.generation();
-        Ok(report)
+        let delete = self.resolve(&batch.delete)?;
+        let restore = self.resolve(&batch.restore)?;
+        Ok(self.apply_resolved(&delete, &restore))
     }
 
     /// Fork a per-request problem: the engine's instance plus `extra`
@@ -238,27 +208,54 @@ impl Engine {
     /// This is the serving daemon's delta path: one engine per epoch,
     /// one `with_delta` per request.
     pub fn with_delta(&self, extra: &[ViewTupleId]) -> Result<Problem, CoreError> {
-        for &id in extra {
-            self.validate(id)?;
-        }
-        if extra.iter().all(|&id| self.problem.is_deleted(id)) {
+        let extra = self.resolve(extra)?;
+        if extra.iter().all(|&i| self.deleted.contains(i)) {
             return Ok(self.problem.clone());
         }
         let mut fork = self.clone();
-        fork.apply(&DeltaBatch::deletes(extra.iter().copied()))?;
+        fork.apply_resolved(&extra, &[]);
         Ok(fork.problem)
     }
 
     // ---- internals ----
 
-    fn validate(&self, id: ViewTupleId) -> Result<(), CoreError> {
-        if self.statics.view_tuples.binary_search(&id).is_err() {
-            return Err(CoreError::UnknownViewTuple {
-                view: id.view,
-                description: format!("index {}", id.index),
-            });
+    /// The dense layout index of every id — one search per id — or an
+    /// error for the first id outside the layout.
+    fn resolve(&self, ids: &[ViewTupleId]) -> Result<Vec<usize>, CoreError> {
+        let unknown = |id: &ViewTupleId| CoreError::UnknownViewTuple {
+            view: id.view,
+            description: format!("index {}", id.index),
+        };
+        (ids.iter())
+            .map(|id| self.statics.dense(*id).ok_or_else(|| unknown(id)))
+            .collect()
+    }
+
+    /// Apply a batch of resolved layout indices: overdelete, rederive,
+    /// and install the refreshed projection.
+    fn apply_resolved(&mut self, delete: &[usize], restore: &[usize]) -> DeltaReport {
+        let mut report = DeltaReport::default();
+        for &i in delete {
+            if !self.deleted.contains(i) {
+                let id = self.statics.view_tuples[i];
+                self.problem.mark_deleted_id(id).expect("id in the layout");
+                self.raw_delete(i, &mut report);
+                report.deleted += 1;
+            }
         }
-        Ok(())
+        for &i in restore {
+            if self.deleted.contains(i) {
+                let id = self.statics.view_tuples[i];
+                self.problem
+                    .unmark_deleted_id(id)
+                    .expect("id in the layout");
+                self.raw_restore(i, &mut report);
+                report.restored += 1;
+            }
+        }
+        self.project();
+        report.generation = self.problem.generation();
+        report
     }
 
     /// Overdeletion closure for one new ΔV member (dense index `i`).
@@ -267,12 +264,12 @@ impl Engine {
         self.deleted.insert(i);
         // A vulnerable tuple entering ΔV leaves the preserved side.
         self.vuln.remove(i);
-        let prov = Arc::clone(&self.prov);
-        for &uid in prov.path_uids(i) {
+        let statics = Arc::clone(&self.statics);
+        for &uid in statics.path_uids(i) {
             self.cand_refs[uid as usize] += 1;
             if self.cand_refs[uid as usize] == 1 {
                 self.cands.insert(uid as usize);
-                for &j in prov.occ_row(uid) {
+                for &j in statics.occ_row(uid) {
                     let j = j as usize;
                     self.vuln_refs[j] += 1;
                     if self.vuln_refs[j] == 1 && !self.deleted.contains(j) {
@@ -287,12 +284,12 @@ impl Engine {
     /// Rederivation for one withdrawn ΔV member (dense index `i`).
     fn raw_restore(&mut self, i: usize, report: &mut DeltaReport) {
         debug_assert!(self.deleted.contains(i));
-        let prov = Arc::clone(&self.prov);
-        for &uid in prov.path_uids(i) {
+        let statics = Arc::clone(&self.statics);
+        for &uid in statics.path_uids(i) {
             self.cand_refs[uid as usize] -= 1;
             if self.cand_refs[uid as usize] == 0 {
                 self.cands.remove(uid as usize);
-                for &j in prov.occ_row(uid) {
+                for &j in statics.occ_row(uid) {
                     let j = j as usize;
                     self.vuln_refs[j] -= 1;
                     if self.vuln_refs[j] == 0 {
@@ -314,27 +311,23 @@ impl Engine {
     /// install it into the shadow problem's IR cache. Bitset iteration is
     /// ascending, which is the order `assemble` expects.
     fn project(&mut self) {
-        let view = |i: usize| self.statics.view_tuples[i];
-        let mut deleted = vec![false; self.statics.norm_v()];
-        for i in self.deleted.iter() {
-            deleted[i] = true;
-        }
         let parts = ActiveParts {
-            bases: members(&self.cands, |uid| self.prov.tuple(uid as u32)),
-            demands: members(&self.deleted, view),
-            vulnerable: members(&self.vuln, view),
-            deleted,
+            bases: members(&self.cands),
+            demands: members(&self.deleted),
+            vulnerable: members(&self.vuln),
         };
-        let ir = CompiledInstance::assemble(self.statics.clone(), parts, self.problem.generation());
+        let (statics, generation) = (Arc::clone(&self.statics), self.problem.generation());
+        let rank = statics.rank_table(&parts.bases);
+        let ir = CompiledInstance::assemble(statics, parts, &rank, generation);
         metrics::IR_PATCHES.inc();
         self.problem.install_compiled(Arc::new(ir));
     }
 }
 
-/// The members of `set`, ascending, mapped into an exactly sized vector.
-fn members<T>(set: &BitSet, f: impl Fn(usize) -> T) -> Vec<T> {
+/// The members of `set`, ascending, in an exactly sized vector.
+fn members(set: &BitSet) -> Vec<u32> {
     let mut out = Vec::with_capacity(set.count());
-    out.extend(set.iter().map(f));
+    out.extend(set.iter().map(|i| i as u32));
     out
 }
 
@@ -467,15 +460,15 @@ mod tests {
             .map(|i| ViewTupleId::new(0, i))
             .unwrap();
         let mut engine = Engine::new(p).unwrap();
-        assert!(engine.compiled().vulnerable().contains(&joe));
+        assert!(engine.compiled().vulnerable().any(|v| v == joe));
 
         engine.apply(&DeltaBatch::deletes([joe])).unwrap();
-        assert!(engine.compiled().demands().contains(&joe));
-        assert!(!engine.compiled().vulnerable().contains(&joe));
+        assert!(engine.compiled().demands().any(|v| v == joe));
+        assert!(!engine.compiled().vulnerable().any(|v| v == joe));
 
         let report = engine.apply(&DeltaBatch::restores([joe])).unwrap();
         assert_eq!(report.rederived, 1, "Joe re-enters the vulnerable set");
-        assert!(engine.compiled().vulnerable().contains(&joe));
+        assert!(engine.compiled().vulnerable().any(|v| v == joe));
     }
 
     #[test]

@@ -25,6 +25,14 @@
 //! The struct is plain old data — `Vec`s of `Copy` types, no interior
 //! mutability, no maps — hence `Send + Sync`, the prerequisite for
 //! sharding solves across threads later.
+//!
+//! Construction is split in two. A [`StaticLayer`] holds everything
+//! ΔV-independent, including the witness-path tuples interned once as
+//! uids; `CompiledInstance::assemble` projects dense `ActiveParts`
+//! (candidate uids, demand and vulnerable layout indices) onto it,
+//! appending rows in order and building their transposes by counting.
+//! Cold compiles, engine projections and shard partitions all take that
+//! one path, and none of them searches for an id per entry.
 
 use crate::problem::Problem;
 use crate::runtime::metrics;
@@ -45,8 +53,9 @@ pub fn compile_count() -> u64 {
 
 /// Number of incremental IR assemblies (engine projections) so far in
 /// this process — the `ir.patches` metric. An assembly reuses a
-/// [`StaticLayer`] and costs `O(active)`, a compile costs `O(‖V‖)` plus
-/// a data-dual-graph construction.
+/// [`StaticLayer`] and costs `O(active)` entries with no id search (plus
+/// clearing a uid rank table and the ΔV flag words); a compile costs
+/// `O(‖V‖ log ‖V‖)` plus a data-dual-graph construction.
 pub fn patch_count() -> u64 {
     metrics::IR_PATCHES.get()
 }
@@ -74,7 +83,7 @@ pub struct PivotData {
 impl PivotData {
     /// Children of forest vertex `v`.
     pub fn children_of(&self, v: usize) -> &[u32] {
-        &self.children[self.children_offsets[v] as usize..self.children_offsets[v + 1] as usize]
+        csr_row(&self.children_offsets, &self.children, v)
     }
 
     /// Number of forest vertices.
@@ -89,7 +98,8 @@ impl PivotData {
 /// and the query-dual forest flag. None of it mentions the deletion set,
 /// so a long-lived [`crate::engine::Engine`] builds it **once** and every
 /// incremental projection shares it by `Arc`; only the `O(active)` parts
-/// (`ActiveParts`) are rebuilt per ΔV batch.
+/// (`ActiveParts`) are rebuilt per ΔV batch. Its interned uid paths and
+/// their transpose are the engine's overdeletion frontier.
 #[derive(Debug)]
 pub struct StaticLayer {
     /// Every view tuple id, ascending (view-major materialization order).
@@ -100,6 +110,13 @@ pub struct StaticLayer {
     /// CSR witness paths of every view tuple (layout order).
     pub(crate) path_offsets: Vec<u32>,
     pub(crate) paths: Vec<TupleId>,
+    /// Every base tuple on any witness path, sorted ascending (uid → tuple).
+    pub(crate) universe: Vec<TupleId>,
+    /// Witness paths as uids, parallel to `paths` (rows ascending).
+    pub(crate) uid_paths: Vec<u32>,
+    /// CSR: uid → layout indices of the view tuples whose path holds it.
+    pub(crate) occ_offsets: Vec<u32>,
+    pub(crate) occ: Vec<u32>,
     /// Depth of each view tuple's witness-path top (its shallowest
     /// vertex) in the rooted data-dual forest, parallel to
     /// `view_tuples`; `None` when the data dual graph is not a forest
@@ -146,11 +163,12 @@ impl StaticLayer {
         });
         let pivot = find_pivot_structure(&graph).map(|p| {
             let children = p.forest.children();
-            let (children_offsets, children) = to_csr(
+            let (children_offsets, children) = group_csr(
+                children.len(),
                 children
-                    .into_iter()
-                    .map(|row| row.into_iter().map(|v| v as u32).collect())
-                    .collect(),
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(v, row)| row.iter().map(move |&c| (v as u32, c as u32))),
             );
             PivotData {
                 endpoints: p.endpoints.iter().map(|&e| e as u32).collect(),
@@ -171,64 +189,111 @@ impl StaticLayer {
         );
         let forest_case = dual.is_forest_case();
 
-        let (path_offsets, paths) = {
-            let mut offsets = Vec::with_capacity(all_paths.len() + 1);
-            offsets.push(0u32);
-            let mut data = Vec::new();
-            for p in &all_paths {
-                data.extend_from_slice(p);
-                offsets.push(data.len() as u32);
-            }
-            (offsets, data)
-        };
-
         StaticLayer {
-            view_tuples,
-            all_weights,
-            path_offsets,
-            paths,
             top_depth,
             pivot,
             forest_case,
             l: problem.l(),
             num_queries: problem.queries().len(),
+            ..StaticLayer::intern(view_tuples, all_weights, &all_paths)
+        }
+    }
+
+    /// A layer over the given layout, weights and (sorted) witness paths
+    /// with their tuples interned: the sorted universe, the paths as
+    /// uids, and the uid → occurrence CSR (its transpose). It carries no
+    /// forest or pivot structure, one query, and `l` = the longest path.
+    fn intern(
+        view_tuples: Vec<ViewTupleId>,
+        all_weights: Vec<f64>,
+        all_paths: &[Vec<TupleId>],
+    ) -> StaticLayer {
+        let norm_v = view_tuples.len();
+        let mut path_offsets = Vec::with_capacity(norm_v + 1);
+        path_offsets.push(0u32);
+        let mut paths = Vec::new();
+        for p in all_paths {
+            paths.extend_from_slice(p);
+            path_offsets.push(paths.len() as u32);
+        }
+        let mut universe = paths.clone();
+        universe.sort_unstable();
+        universe.dedup();
+        let uid_paths: Vec<u32> = (paths.iter())
+            .map(|t| {
+                universe
+                    .binary_search(t)
+                    .expect("path tuples define the universe") as u32
+            })
+            .collect();
+        let (occ_offsets, occ) = transpose(&path_offsets, &uid_paths, universe.len());
+        StaticLayer {
+            view_tuples,
+            all_weights,
+            path_offsets,
+            paths,
+            universe,
+            uid_paths,
+            occ_offsets,
+            occ,
+            top_depth: None,
+            pivot: None,
+            forest_case: false,
+            l: all_paths.iter().map(Vec::len).max().unwrap_or(0).max(1),
+            num_queries: 1,
             norm_v,
         }
     }
 
-    /// Dense layout index of a view tuple id (`view_tuples` is sorted:
-    /// `ViewTupleId`'s lexicographic order equals materialization order).
-    pub(crate) fn dense(&self, id: ViewTupleId) -> usize {
-        self.view_tuples
-            .binary_search(&id)
-            .expect("view tuple id within the materialized layout")
+    /// Dense layout index of a view tuple id, or `None` outside the
+    /// layout (`view_tuples` is sorted: `ViewTupleId`'s lexicographic
+    /// order equals materialization order).
+    pub(crate) fn dense(&self, id: ViewTupleId) -> Option<usize> {
+        self.view_tuples.binary_search(&id).ok()
     }
 
     /// Witness path of the `i`-th view tuple (layout order).
     pub(crate) fn path_of(&self, i: usize) -> &[TupleId] {
-        &self.paths[self.path_offsets[i] as usize..self.path_offsets[i + 1] as usize]
+        csr_row(&self.path_offsets, &self.paths, i)
     }
 
-    /// `‖V‖`.
-    pub(crate) fn norm_v(&self) -> usize {
-        self.norm_v
+    /// Witness path of the `i`-th view tuple as ascending uids.
+    pub(crate) fn path_uids(&self, i: usize) -> &[u32] {
+        csr_row(&self.path_offsets, &self.uid_paths, i)
+    }
+
+    /// Layout indices of the view tuples whose path holds `uid`, ascending.
+    pub(crate) fn occ_row(&self, uid: u32) -> &[u32] {
+        csr_row(&self.occ_offsets, &self.occ, uid as usize)
+    }
+
+    /// The uid → base-rank table of an ascending candidate uid set:
+    /// `rank[bases[b]] = b`, [`NO_RANK`] for every other uid.
+    pub(crate) fn rank_table(&self, bases: &[u32]) -> Vec<u32> {
+        let mut rank = vec![NO_RANK; self.universe.len()];
+        for (b, &u) in bases.iter().enumerate() {
+            rank[u as usize] = b as u32;
+        }
+        rank
     }
 }
 
-/// The ΔV-dependent inputs of an IR assembly: the active subproblem a
-/// [`StaticLayer`] is projected onto. All four members are canonical —
-/// sorted ascending, exactly what a cold [`CompiledInstance::compile`]
-/// of the same problem state would derive — so cold and incremental
-/// assemblies are byte-identical by construction.
+/// Rank-table entry of a uid that is not a candidate.
+pub(crate) const NO_RANK: u32 = u32::MAX;
+
+/// The ΔV-dependent inputs of an IR assembly, in dense form: the active
+/// subproblem a [`StaticLayer`] is projected onto. All three members are
+/// ascending and canonical — exactly what a cold
+/// [`CompiledInstance::compile`] of the same problem state derives — so
+/// cold and incremental assemblies are byte-identical by construction.
+#[derive(Default)]
 pub(crate) struct ActiveParts {
-    /// Candidate base tuples `𝒞`, sorted ascending.
-    pub(crate) bases: Vec<TupleId>,
-    /// `ΔV` in ascending `ViewTupleId` order.
-    pub(crate) demands: Vec<ViewTupleId>,
-    /// Vulnerable preserved view tuples, ascending.
-    pub(crate) vulnerable: Vec<ViewTupleId>,
-    /// Per-view-tuple ΔV membership, parallel to the layout.
-    pub(crate) deleted: Vec<bool>,
+    /// Candidate base tuples `𝒞` as uids.
+    pub(crate) bases: Vec<u32>,
+    /// `ΔV` as layout indices (dense order is `ViewTupleId` order).
+    pub(crate) demands: Vec<u32>,
+    /// Vulnerable preserved view tuples as layout indices.
+    pub(crate) vulnerable: Vec<u32>,
 }
 
 /// A deletion-propagation instance compiled to flat dense-index form.
@@ -238,13 +303,14 @@ pub(crate) struct ActiveParts {
 /// instead of re-deriving incidence maps from [`Problem`].
 #[derive(Debug, Clone)]
 pub struct CompiledInstance {
-    // ---- interning tables ----
-    /// Candidate base tuples `𝒞` (sorted ascending; dense base index).
-    bases: Vec<TupleId>,
-    /// `ΔV` in ascending `ViewTupleId` order (dense demand index).
-    demands: Vec<ViewTupleId>,
-    /// Vulnerable preserved view tuples, ascending (dense red index).
-    vulnerable: Vec<ViewTupleId>,
+    // ---- interning tables (ids resolve through `statics`) ----
+    /// Candidate base tuples `𝒞` as ascending uids (dense base index).
+    pub(crate) base_uids: Vec<u32>,
+    /// `ΔV` as ascending layout indices (dense demand index).
+    pub(crate) demand_idx: Vec<u32>,
+    /// Vulnerable preserved view tuples as ascending layout indices
+    /// (dense red index).
+    pub(crate) vulnerable_idx: Vec<u32>,
 
     // ---- flat weight arrays ----
     demand_weights: Vec<f64>,
@@ -285,16 +351,13 @@ pub struct CompiledInstance {
     /// `Arc` between an engine's successive projections; owned (fresh)
     /// for a cold compile.
     statics: Arc<StaticLayer>,
-    /// Whether each view tuple is in `ΔV`, parallel to the layout.
-    deleted: Vec<bool>,
+    /// Which view tuples are in `ΔV`, over the layout indices.
+    deleted: BitSet,
 
     /// Demand indices in bottom-up processing order (decreasing witness-path
     /// top depth in the data-dual forest; identity when not a forest) —
     /// Algorithm 1's GVY-style order, precomputed.
     demand_order: Vec<u32>,
-
-    // ---- scalars (Table I) ----
-    norm_delta: usize,
 
     /// The mutation generation of the [`Problem`] this IR was built
     /// against (see [`Problem::generation`]); checked by
@@ -302,17 +365,73 @@ pub struct CompiledInstance {
     generation: u64,
 }
 
-/// Flatten row lists into CSR (offsets, data).
-fn to_csr(rows: Vec<Vec<u32>>) -> (Vec<u32>, Vec<u32>) {
-    let mut offsets = Vec::with_capacity(rows.len() + 1);
+/// Row `i` of a CSR array.
+pub(crate) fn csr_row<'a, T>(offsets: &[u32], data: &'a [T], i: usize) -> &'a [T] {
+    &data[offsets[i] as usize..offsets[i + 1] as usize]
+}
+
+/// Group `(key, value)` pairs into CSR rows over `0..keys` by counting:
+/// one pass counts each row, a prefix sum turns the counts into row
+/// starts, a second pass fills. Each row keeps the pairs' iteration
+/// order.
+fn group_csr<I>(keys: usize, pairs: I) -> (Vec<u32>, Vec<u32>)
+where
+    I: Iterator<Item = (u32, u32)> + Clone,
+{
+    // Row `k`'s count lands in slot `k + 2`, so after the prefix sum slot
+    // `k + 1` holds row `k`'s start: the fill advances it to the row's
+    // end, which is row `k + 1`'s offset. The spare last slot goes.
+    let mut offsets = vec![0u32; keys + 2];
+    for (k, _) in pairs.clone() {
+        offsets[k as usize + 2] += 1;
+    }
+    for k in 2..keys + 2 {
+        offsets[k] += offsets[k - 1];
+    }
+    let mut data = vec![0u32; offsets[keys + 1] as usize];
+    for (k, v) in pairs {
+        let slot = &mut offsets[k as usize + 1];
+        data[*slot as usize] = v;
+        *slot += 1;
+    }
+    offsets.pop();
+    (offsets, data)
+}
+
+/// Transpose a CSR array with columns in `0..cols`; rows of the result
+/// ascend, because the source rows are walked in order.
+fn transpose(offsets: &[u32], data: &[u32], cols: usize) -> (Vec<u32>, Vec<u32>) {
+    let row = |r: usize| {
+        csr_row(offsets, data, r)
+            .iter()
+            .map(move |&c| (c, r as u32))
+    };
+    group_csr(cols, (0..offsets.len() - 1).flat_map(row))
+}
+
+/// CSR rows of the candidate witnesses of the view tuples at layout
+/// indices `idx`: each witness path's uids through `rank`, non-candidates
+/// ([`NO_RANK`]) dropped. Rows ascend, because `rank` is monotone.
+fn witness_rows(statics: &StaticLayer, idx: &[u32], rank: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = Vec::with_capacity(idx.len() + 1);
     offsets.push(0u32);
-    let total: usize = rows.iter().map(Vec::len).sum();
-    let mut data = Vec::with_capacity(total);
-    for row in rows {
-        data.extend(row);
+    let path_len = |&i: &u32| statics.path_uids(i as usize).len();
+    let mut data = Vec::with_capacity(idx.iter().map(path_len).sum());
+    for &i in idx {
+        let ranks = statics
+            .path_uids(i as usize)
+            .iter()
+            .map(|&u| rank[u as usize]);
+        data.extend(ranks.filter(|&b| b != NO_RANK));
         offsets.push(data.len() as u32);
     }
     (offsets, data)
+}
+
+/// Packed rows of a CSR array with columns in `0..cols`.
+fn packed(offsets: &[u32], data: &[u32], cols: usize) -> BitMatrix {
+    let row = |r: usize| csr_row(offsets, data, r).iter().map(|&c| c as usize);
+    BitMatrix::from_rows(offsets.len() - 1, cols, (0..offsets.len() - 1).map(row))
 }
 
 impl CompiledInstance {
@@ -326,122 +445,85 @@ impl CompiledInstance {
         metrics::IR_COMPILES.inc();
         let compile_start = crate::runtime::now();
 
+        // The active sets come from `Problem`'s own derivations, so a
+        // cold compile stays an independent oracle for the engine.
         let statics = Arc::new(StaticLayer::build(problem));
-        let demands: Vec<ViewTupleId> = problem.deletions().iter().copied().collect();
-        let mut deleted = vec![false; statics.norm_v()];
-        for &id in &demands {
-            deleted[statics.dense(id)] = true;
-        }
+        let dense = |id| statics.dense(id).expect("view tuple within the layout") as u32;
+        let universe = &statics.universe;
+        let uid = |t| universe.binary_search(&t).expect("candidate on a path") as u32;
         let parts = ActiveParts {
-            bases: problem.candidates(),
-            demands,
-            vulnerable: problem.vulnerable_preserved(),
-            deleted,
+            bases: problem.candidates().into_iter().map(uid).collect(),
+            demands: problem.deletions().iter().map(|&id| dense(id)).collect(),
+            vulnerable: problem
+                .vulnerable_preserved()
+                .into_iter()
+                .map(dense)
+                .collect(),
         };
-        let ir = Self::assemble(statics, parts, problem.generation());
+        let rank = statics.rank_table(&parts.bases);
+        let ir = Self::assemble(statics, parts, &rank, problem.generation());
 
         metrics::IR_COMPILE_MICROS.observe(compile_start.elapsed().as_micros() as u64);
         ir
     }
 
     /// Assemble the `O(active)` half of the IR onto a static layer: CSR
-    /// adjacency in both directions, packed bitset rows, weights, and
-    /// the bottom-up demand order. This is the single construction path
-    /// for both cold compiles and the engine's incremental projections.
+    /// adjacency in both directions, packed bitset rows, weights, the ΔV
+    /// flags, and the bottom-up demand order. This is the single
+    /// construction path for cold compiles, the engine's incremental
+    /// projections and the shard partitioner.
+    ///
+    /// `rank` maps a uid to its dense base index ([`NO_RANK`] for
+    /// non-candidates); only the entries of uids on the witness paths of
+    /// `parts` are read. Rows are appended in order and their transposes
+    /// built by counting, so the cost is linear in the active entries.
     pub(crate) fn assemble(
         statics: Arc<StaticLayer>,
         parts: ActiveParts,
+        rank: &[u32],
         generation: u64,
     ) -> CompiledInstance {
         let ActiveParts {
-            bases,
-            demands,
-            vulnerable,
-            deleted,
+            bases: base_uids,
+            demands: demand_idx,
+            vulnerable: vulnerable_idx,
         } = parts;
-        debug_assert_eq!(deleted.len(), statics.norm_v());
-        let base_of =
-            |t: TupleId| -> Option<u32> { bases.binary_search(&t).ok().map(|b| b as u32) };
+        let nb = base_uids.len();
+        let weight = |&i: &u32| statics.all_weights[i as usize];
 
-        let demand_weights: Vec<f64> = demands
-            .iter()
-            .map(|&id| statics.all_weights[statics.dense(id)])
-            .collect();
-        let vulnerable_weights: Vec<f64> = vulnerable
-            .iter()
-            .map(|&id| statics.all_weights[statics.dense(id)])
-            .collect();
-
-        // demand → bases, and its transpose base → demands.
-        let mut demand_rows: Vec<Vec<u32>> = Vec::with_capacity(demands.len());
-        let mut hit_rows: Vec<Vec<u32>> = vec![Vec::new(); bases.len()];
-        for (di, &id) in demands.iter().enumerate() {
-            let row: Vec<u32> = statics
-                .path_of(statics.dense(id))
-                .iter()
-                .map(|&t| base_of(t).expect("demand witnesses are candidates by definition"))
-                .collect();
-            for &b in &row {
-                hit_rows[b as usize].push(di as u32);
-            }
-            demand_rows.push(row);
-        }
-
-        // vulnerable → candidate witnesses, and its transpose
-        // base → vulnerable (the red incidence).
-        let mut vulnerable_rows: Vec<Vec<u32>> = Vec::with_capacity(vulnerable.len());
-        let mut incidence_rows: Vec<Vec<u32>> = vec![Vec::new(); bases.len()];
-        let mut vulnerable_k: Vec<u32> = Vec::with_capacity(vulnerable.len());
-        for (ri, &id) in vulnerable.iter().enumerate() {
-            let ws = statics.path_of(statics.dense(id));
-            vulnerable_k.push(ws.len() as u32);
-            let row: Vec<u32> = ws.iter().filter_map(|&t| base_of(t)).collect();
-            for &b in &row {
-                incidence_rows[b as usize].push(ri as u32);
-            }
-            vulnerable_rows.push(row);
-        }
+        // demand → bases and vulnerable → candidate witnesses
+        // (`ws(s) ∩ 𝒞`), each with its transpose: base → demands and
+        // base → vulnerable (the red incidence). Every demand witness is
+        // a candidate by definition, so demand rows drop nothing.
+        let path_len = |&i: &u32| statics.path_uids(i as usize).len();
+        let (demand_offsets, demand_witnesses) = witness_rows(&statics, &demand_idx, rank);
+        debug_assert_eq!(
+            demand_witnesses.len(),
+            demand_idx.iter().map(path_len).sum()
+        );
+        let (hit_offsets, hit_demands) = transpose(&demand_offsets, &demand_witnesses, nb);
+        let (vulnerable_offsets, vulnerable_witnesses) =
+            witness_rows(&statics, &vulnerable_idx, rank);
+        let (incidence_offsets, incidence) =
+            transpose(&vulnerable_offsets, &vulnerable_witnesses, nb);
 
         // Bottom-up demand order: decreasing depth of each witness path's
-        // shallowest vertex (its top / LCA) in the data-dual forest, ties
-        // and the non-forest fallback in ascending `ViewTupleId` order.
-        let mut demand_order: Vec<u32> = (0..demands.len() as u32).collect();
+        // shallowest vertex (its top / LCA) in the data-dual forest. The
+        // sort is stable and dense order is `ViewTupleId` order, so ties
+        // and the non-forest fallback stay in ascending id order.
+        let mut demand_order: Vec<u32> = (0..demand_idx.len() as u32).collect();
         if let Some(depths) = &statics.top_depth {
-            demand_order.sort_by_key(|&di| {
-                let id = demands[di as usize];
-                (std::cmp::Reverse(depths[statics.dense(id)]), id)
-            });
+            demand_order
+                .sort_by_key(|&d| std::cmp::Reverse(depths[demand_idx[d as usize] as usize]));
         }
 
-        // Packed bitset rows share the dense base universe with the CSR
-        // rows; solvers intersect them against deletion masks word by word.
-        let witness_masks = BitMatrix::from_rows(
-            demands.len(),
-            bases.len(),
-            demand_rows
-                .iter()
-                .map(|row| row.iter().map(|&b| b as usize)),
-        );
-        let vulnerable_masks = BitMatrix::from_rows(
-            vulnerable.len(),
-            bases.len(),
-            vulnerable_rows
-                .iter()
-                .map(|row| row.iter().map(|&b| b as usize)),
-        );
-
-        let (demand_offsets, demand_witnesses) = to_csr(demand_rows);
-        let (hit_offsets, hit_demands) = to_csr(hit_rows);
-        let (vulnerable_offsets, vulnerable_witnesses) = to_csr(vulnerable_rows);
-        let (incidence_offsets, incidence) = to_csr(incidence_rows);
-
         CompiledInstance {
-            norm_delta: demands.len(),
-            bases,
-            demands,
-            vulnerable,
-            demand_weights,
-            vulnerable_weights,
+            demand_weights: demand_idx.iter().map(weight).collect(),
+            vulnerable_weights: vulnerable_idx.iter().map(weight).collect(),
+            // Packed bitset rows share the dense base universe with the
+            // CSR rows; solvers intersect them against deletion masks.
+            witness_masks: packed(&demand_offsets, &demand_witnesses, nb),
+            vulnerable_masks: packed(&vulnerable_offsets, &vulnerable_witnesses, nb),
             demand_offsets,
             demand_witnesses,
             incidence_offsets,
@@ -450,11 +532,12 @@ impl CompiledInstance {
             hit_demands,
             vulnerable_offsets,
             vulnerable_witnesses,
-            witness_masks,
-            vulnerable_masks,
-            vulnerable_k,
+            vulnerable_k: vulnerable_idx.iter().map(|i| path_len(i) as u32).collect(),
+            deleted: BitSet::from_indices(statics.norm_v, demand_idx.iter().map(|&i| i as usize)),
             statics,
-            deleted,
+            base_uids,
+            demand_idx,
+            vulnerable_idx,
             demand_order,
             generation,
         }
@@ -486,107 +569,97 @@ impl CompiledInstance {
     ) -> CompiledInstance {
         let nd = demands.len();
         let n = nd + vulnerable.len();
-        let view_tuples: Vec<ViewTupleId> = (0..n).map(|i| ViewTupleId::new(0, i)).collect();
         let mut all_weights: Vec<f64> = Vec::with_capacity(n);
-        let mut paths: Vec<TupleId> = Vec::new();
-        let mut path_offsets: Vec<u32> = Vec::with_capacity(n + 1);
-        path_offsets.push(0);
-        let mut max_path = 1usize;
-        for (w, ws) in demands.iter().chain(vulnerable.iter()) {
+        let mut all_paths: Vec<Vec<TupleId>> = Vec::with_capacity(n);
+        for (i, (w, ws)) in demands.iter().chain(vulnerable.iter()).enumerate() {
+            assert!(
+                i >= nd || !ws.is_empty(),
+                "synthesize: demand {i} has an empty witness set"
+            );
             let mut ws = ws.clone();
             ws.sort_unstable();
             ws.dedup();
-            max_path = max_path.max(ws.len());
             all_weights.push(*w);
-            paths.extend_from_slice(&ws);
-            path_offsets.push(paths.len() as u32);
+            all_paths.push(ws);
         }
-        let mut bases: Vec<TupleId> = Vec::new();
-        for (i, (_, ws)) in demands.iter().enumerate() {
-            assert!(
-                !ws.is_empty(),
-                "synthesize: demand {i} has an empty witness set"
-            );
-            bases.extend_from_slice(ws);
-        }
+        let view_tuples = (0..n).map(|i| ViewTupleId::new(0, i)).collect();
+        let statics = StaticLayer::intern(view_tuples, all_weights, &all_paths);
+        // Candidates are the demand witnesses: the uids on the first
+        // `nd` paths.
+        let mut bases: Vec<u32> = statics.uid_paths[..statics.path_offsets[nd] as usize].to_vec();
         bases.sort_unstable();
         bases.dedup();
-
-        let statics = StaticLayer {
-            view_tuples,
-            all_weights,
-            path_offsets,
-            paths,
-            top_depth: None,
-            pivot: None,
-            forest_case: false,
-            l: max_path,
-            num_queries: 1,
-            norm_v: n,
-        };
-        let mut deleted = vec![false; n];
-        for d in deleted.iter_mut().take(nd) {
-            *d = true;
-        }
+        let rank = statics.rank_table(&bases);
         let parts = ActiveParts {
             bases,
-            demands: (0..nd).map(|i| ViewTupleId::new(0, i)).collect(),
-            vulnerable: (nd..n).map(|i| ViewTupleId::new(0, i)).collect(),
-            deleted,
+            demands: (0..nd as u32).collect(),
+            vulnerable: (nd as u32..n as u32).collect(),
         };
-        Self::assemble(Arc::new(statics), parts, 0)
+        Self::assemble(Arc::new(statics), parts, &rank, 0)
     }
 
     // ---- interning ----
 
     /// Candidate base tuples `𝒞`, sorted ascending.
-    pub fn bases(&self) -> &[TupleId] {
-        &self.bases
+    pub fn bases(&self) -> impl ExactSizeIterator<Item = TupleId> + '_ {
+        self.base_uids
+            .iter()
+            .map(|&u| self.statics.universe[u as usize])
     }
 
     /// Number of candidate base tuples.
     pub fn num_bases(&self) -> usize {
-        self.bases.len()
+        self.base_uids.len()
     }
 
     /// The base tuple behind dense index `b`.
     pub fn base(&self, b: u32) -> TupleId {
-        self.bases[b as usize]
+        self.statics.universe[self.base_uids[b as usize] as usize]
     }
 
-    /// Dense index of a base tuple, if it is a candidate.
+    /// Dense index of a base tuple, if it is a candidate (uid order is
+    /// `TupleId` order, so the uids search by tuple).
     pub fn base_index(&self, t: TupleId) -> Option<u32> {
-        self.bases.binary_search(&t).ok().map(|b| b as u32)
+        let universe = &self.statics.universe;
+        let b = self
+            .base_uids
+            .binary_search_by(|&u| universe[u as usize].cmp(&t));
+        b.ok().map(|b| b as u32)
     }
 
     /// `ΔV`, ascending.
-    pub fn demands(&self) -> &[ViewTupleId] {
-        &self.demands
+    pub fn demands(&self) -> impl ExactSizeIterator<Item = ViewTupleId> + '_ {
+        self.view_ids(&self.demand_idx)
     }
 
     /// Number of demands `‖ΔV‖`.
     pub fn num_demands(&self) -> usize {
-        self.demands.len()
+        self.demand_idx.len()
     }
 
     /// The view tuple behind dense demand index `d`.
     pub fn demand(&self, d: u32) -> ViewTupleId {
-        self.demands[d as usize]
+        self.statics.view_tuples[self.demand_idx[d as usize] as usize]
     }
 
     /// Vulnerable preserved view tuples, ascending.
-    pub fn vulnerable(&self) -> &[ViewTupleId] {
-        &self.vulnerable
+    pub fn vulnerable(&self) -> impl ExactSizeIterator<Item = ViewTupleId> + '_ {
+        self.view_ids(&self.vulnerable_idx)
     }
 
     /// Number of vulnerable preserved view tuples.
     pub fn num_vulnerable(&self) -> usize {
-        self.vulnerable.len()
+        self.vulnerable_idx.len()
     }
 
     /// The view tuple behind dense red index `r`.
     pub fn vulnerable_id(&self, r: u32) -> ViewTupleId {
-        self.vulnerable[r as usize]
+        self.statics.view_tuples[self.vulnerable_idx[r as usize] as usize]
+    }
+
+    /// The view tuple ids at layout indices `idx`.
+    fn view_ids<'a>(&'a self, idx: &'a [u32]) -> impl ExactSizeIterator<Item = ViewTupleId> + 'a {
+        idx.iter().map(|&i| self.statics.view_tuples[i as usize])
     }
 
     // ---- weights ----
@@ -605,41 +678,29 @@ impl CompiledInstance {
 
     /// Witness bases of demand `d` (sorted dense base indices).
     pub fn demand_row(&self, d: u32) -> &[u32] {
-        let (lo, hi) = (
-            self.demand_offsets[d as usize],
-            self.demand_offsets[d as usize + 1],
-        );
-        &self.demand_witnesses[lo as usize..hi as usize]
+        csr_row(&self.demand_offsets, &self.demand_witnesses, d as usize)
     }
 
     /// Vulnerable view tuples incident to base `b` (sorted dense red
     /// indices). Its length is the **red degree** of `b` (Algorithm 2's
     /// threshold quantity).
     pub fn incidence_row(&self, b: u32) -> &[u32] {
-        let (lo, hi) = (
-            self.incidence_offsets[b as usize],
-            self.incidence_offsets[b as usize + 1],
-        );
-        &self.incidence[lo as usize..hi as usize]
+        csr_row(&self.incidence_offsets, &self.incidence, b as usize)
     }
 
     /// Demands whose witness set contains base `b` (sorted dense demand
     /// indices) — the blue rows of the Red-Blue image.
     pub fn hit_row(&self, b: u32) -> &[u32] {
-        let (lo, hi) = (
-            self.hit_offsets[b as usize],
-            self.hit_offsets[b as usize + 1],
-        );
-        &self.hit_demands[lo as usize..hi as usize]
+        csr_row(&self.hit_offsets, &self.hit_demands, b as usize)
     }
 
     /// Candidate witnesses of vulnerable tuple `r` (`ws(s) ∩ 𝒞`).
     pub fn vulnerable_row(&self, r: u32) -> &[u32] {
-        let (lo, hi) = (
-            self.vulnerable_offsets[r as usize],
-            self.vulnerable_offsets[r as usize + 1],
-        );
-        &self.vulnerable_witnesses[lo as usize..hi as usize]
+        csr_row(
+            &self.vulnerable_offsets,
+            &self.vulnerable_witnesses,
+            r as usize,
+        )
     }
 
     /// `k_s`: full witness-set size of vulnerable tuple `r` (including
@@ -668,7 +729,7 @@ impl CompiledInstance {
 
     /// Whether the `i`-th view tuple is in `ΔV`.
     pub fn view_deleted(&self, i: usize) -> bool {
-        self.deleted[i]
+        self.deleted.contains(i)
     }
 
     /// Witness path of the `i`-th view tuple (layout order).
@@ -710,7 +771,7 @@ impl CompiledInstance {
 
     /// `‖ΔV‖`.
     pub fn norm_delta(&self) -> usize {
-        self.norm_delta
+        self.demand_idx.len()
     }
 
     /// The problem mutation generation this IR was built against.
@@ -724,13 +785,15 @@ impl CompiledInstance {
     /// use this as a strong cold-vs-incremental equality check.
     pub fn shape_digest(&self) -> u64 {
         let mut h = Fnv1a::new();
-        for &t in &self.bases {
+        for t in self.bases() {
             h.write_u64(t.relation.0 as u64);
             h.write_u64(t.index as u64);
         }
-        for set in [&self.demands, &self.vulnerable, &self.statics.view_tuples] {
+        let (demands, vulnerable): (Vec<_>, Vec<_>) =
+            (self.demands().collect(), self.vulnerable().collect());
+        for set in [&demands, &vulnerable, &self.statics.view_tuples] {
             h.write_u64(set.len() as u64);
-            for id in set.iter() {
+            for id in set {
                 h.write_u64(id.view as u64);
                 h.write_u64(id.index as u64);
             }
@@ -775,8 +838,8 @@ impl CompiledInstance {
                 }
             }
         }
-        for &d in &self.deleted {
-            h.write_u64(d as u64);
+        for i in 0..self.statics.norm_v {
+            h.write_u64(self.deleted.contains(i) as u64);
         }
         if let Some(depths) = &self.statics.top_depth {
             for &d in depths.iter() {
@@ -802,7 +865,7 @@ impl CompiledInstance {
         h.write_u64(self.statics.l as u64);
         h.write_u64(self.statics.num_queries as u64);
         h.write_u64(self.statics.norm_v as u64);
-        h.write_u64(self.norm_delta as u64);
+        h.write_u64(self.demand_idx.len() as u64);
         h.finish()
     }
 
@@ -812,13 +875,8 @@ impl CompiledInstance {
     /// (non-candidate deletions have no entry: they cannot cut demands,
     /// and candidate-restricted solvers never produce them).
     pub fn base_mask(&self, sol: &Solution) -> Vec<bool> {
-        let mut mask = vec![false; self.bases.len()];
-        for &t in &sol.deleted {
-            if let Some(b) = self.base_index(t) {
-                mask[b as usize] = true;
-            }
-        }
-        mask
+        let bits = self.base_bits(sol);
+        (0..self.num_bases()).map(|b| bits.contains(b)).collect()
     }
 
     /// Whether `mask` (over dense base indices) eliminates demand `d`.
@@ -828,7 +886,7 @@ impl CompiledInstance {
 
     /// Whether `mask` eliminates every demand.
     pub fn is_feasible_mask(&self, mask: &[bool]) -> bool {
-        (0..self.demands.len() as u32).all(|d| self.eliminates(mask, d))
+        (0..self.demand_idx.len() as u32).all(|d| self.eliminates(mask, d))
     }
 
     /// Side-effect of `mask`: total weight of vulnerable tuples losing a
@@ -836,7 +894,7 @@ impl CompiledInstance {
     /// any solver emits), since non-candidate deletions damage only
     /// non-vulnerable tuples.
     pub fn side_effect_mask(&self, mask: &[bool]) -> f64 {
-        (0..self.vulnerable.len() as u32)
+        (0..self.vulnerable_idx.len() as u32)
             .filter(|&r| self.vulnerable_row(r).iter().any(|&b| mask[b as usize]))
             .map(|r| self.vulnerable_weight(r))
             .sum::<f64>()
@@ -845,7 +903,7 @@ impl CompiledInstance {
 
     /// Balanced cost of `mask`: prizes of missed demands plus side-effect.
     pub fn balanced_cost_mask(&self, mask: &[bool]) -> f64 {
-        let missed: f64 = (0..self.demands.len() as u32)
+        let missed: f64 = (0..self.demand_idx.len() as u32)
             .filter(|&d| !self.eliminates(mask, d))
             .map(|d| self.demand_weight(d))
             .sum();
@@ -876,25 +934,14 @@ impl CompiledInstance {
     /// twin of [`base_mask`](Self::base_mask); non-candidate deletions
     /// have no bit).
     pub fn base_bits(&self, sol: &Solution) -> BitSet {
-        let mut bits = BitSet::new(self.bases.len());
-        for &t in &sol.deleted {
-            if let Some(b) = self.base_index(t) {
-                bits.insert(b as usize);
-            }
-        }
-        bits
+        self.tuple_bits(sol.deleted.iter().copied())
     }
 
     /// Packed base-index set for the given tuples (non-candidates are
     /// ignored, exactly as in [`base_bits`](Self::base_bits)).
     pub fn tuple_bits(&self, tuples: impl IntoIterator<Item = TupleId>) -> BitSet {
-        let mut bits = BitSet::new(self.bases.len());
-        for t in tuples {
-            if let Some(b) = self.base_index(t) {
-                bits.insert(b as usize);
-            }
-        }
-        bits
+        let bases = tuples.into_iter().filter_map(|t| self.base_index(t));
+        BitSet::from_indices(self.num_bases(), bases.map(|b| b as usize))
     }
 
     /// Whether the packed deletion mask eliminates demand `d` — one
@@ -905,7 +952,7 @@ impl CompiledInstance {
 
     /// Whether the packed deletion mask eliminates every demand.
     pub fn is_feasible_bits(&self, deleted: &BitSet) -> bool {
-        (0..self.demands.len() as u32).all(|d| self.eliminates_bits(deleted, d))
+        (0..self.demand_idx.len() as u32).all(|d| self.eliminates_bits(deleted, d))
     }
 
     /// Side-effect of a packed deletion mask. Identical sum order (and
@@ -913,7 +960,7 @@ impl CompiledInstance {
     /// [`side_effect_mask`](Self::side_effect_mask): vulnerable indices
     /// ascending.
     pub fn side_effect_bits(&self, deleted: &BitSet) -> f64 {
-        (0..self.vulnerable.len() as u32)
+        (0..self.vulnerable_idx.len() as u32)
             .filter(|&r| words::intersects(self.vulnerable_mask_row(r), deleted.words()))
             .map(|r| self.vulnerable_weight(r))
             .sum()
@@ -922,7 +969,7 @@ impl CompiledInstance {
     /// Balanced cost of a packed deletion mask — bit-identical to
     /// [`balanced_cost_mask`](Self::balanced_cost_mask) on the same mask.
     pub fn balanced_cost_bits(&self, deleted: &BitSet) -> f64 {
-        let missed: f64 = (0..self.demands.len() as u32)
+        let missed: f64 = (0..self.demand_idx.len() as u32)
             .filter(|&d| !self.eliminates_bits(deleted, d))
             .map(|d| self.demand_weight(d))
             .sum();
@@ -1020,14 +1067,14 @@ mod tests {
         let p = chain_problem(8, 3, &[1, 4, 6]);
         let ir = CompiledInstance::compile(&p);
         // Evaluate every single-candidate deletion both ways.
-        for &t in ir.bases() {
+        for t in ir.bases() {
             let sol = Solution::from_tuples([t]);
             assert_eq!(ir.is_feasible_of(&sol), sol.is_feasible(&p));
             assert!((ir.side_effect_of(&sol) - sol.side_effect(&p)).abs() < 1e-12);
             assert!((ir.balanced_cost_of(&sol) - sol.balanced_cost(&p)).abs() < 1e-12);
         }
         // And the full candidate set (always feasible).
-        let all = Solution::from_tuples(ir.bases().iter().copied());
+        let all = Solution::from_tuples(ir.bases());
         assert!(ir.is_feasible_of(&all));
         assert!((ir.side_effect_of(&all) - all.side_effect(&p)).abs() < 1e-12);
     }
@@ -1115,6 +1162,44 @@ mod tests {
         seen.sort_unstable();
         let expect: Vec<u32> = (0..ir.num_demands() as u32).collect();
         assert_eq!(seen, expect);
+    }
+
+    #[test]
+    fn interned_layer_round_trips_and_transposes() {
+        let ir = CompiledInstance::compile(&chain_problem(8, 3, &[1, 4, 6]));
+        let st = &ir.statics;
+        assert!(st.universe.windows(2).all(|w| w[0] < w[1]));
+        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); st.universe.len()];
+        for i in 0..st.norm_v {
+            let uids = st.path_uids(i);
+            assert!(uids.windows(2).all(|w| w[0] < w[1]), "row {i} ascending");
+            let back: Vec<TupleId> = uids.iter().map(|&u| st.universe[u as usize]).collect();
+            assert_eq!(back, st.path_of(i), "row {i} round-trips");
+            for &u in uids {
+                occ[u as usize].push(i as u32);
+            }
+        }
+        for (u, row) in occ.iter().enumerate() {
+            assert_eq!(st.occ_row(u as u32), row, "occurrences of uid {u}");
+        }
+        assert_eq!(st.occ.len(), st.uid_paths.len());
+    }
+
+    #[test]
+    fn synthesize_counts_but_omits_non_candidate_witnesses() {
+        let t = |i: usize| TupleId::new(delprop_relation::RelationId(0), i);
+        // Candidates are {t0, t1}; the vulnerable tuple also holds t2.
+        let ir =
+            CompiledInstance::synthesize(&[(1.0, vec![t(1), t(0)])], &[(2.0, vec![t(2), t(1)])]);
+        assert!(ir.bases().eq([t(0), t(1)]));
+        assert_eq!(ir.vulnerable_k(0), 2);
+        assert_eq!(ir.vulnerable_row(0), &[1]);
+        assert_eq!(
+            words::iter_ones(ir.vulnerable_mask_row(0)).collect::<Vec<_>>(),
+            [1]
+        );
+        assert_eq!(ir.incidence_row(1), &[0]);
+        assert!(ir.view_deleted(0) && !ir.view_deleted(1));
     }
 
     #[test]

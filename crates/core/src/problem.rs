@@ -539,7 +539,7 @@ mod tests {
         assert_eq!(p.compiled().norm_delta(), 0);
         let id = p.mark_deleted(0, &tup!["John", "TKDE", "XML"]).unwrap();
         assert_eq!(p.compiled().norm_delta(), 1, "mark_deleted rebuilds");
-        let vul = *p.compiled().vulnerable().first().unwrap();
+        let vul = p.compiled().vulnerable_id(0);
         p.set_weight(vul, 2.5).unwrap();
         assert_eq!(
             p.compiled().vulnerable_weight(0),

@@ -62,9 +62,9 @@ pub fn to_redblue(ir: &CompiledInstance) -> VseAsRedBlue {
             red_weights,
             sets,
         ),
-        tuples: ir.bases().to_vec(),
-        blue_ids: ir.demands().to_vec(),
-        red_ids: ir.vulnerable().to_vec(),
+        tuples: ir.bases().collect(),
+        blue_ids: ir.demands().collect(),
+        red_ids: ir.vulnerable().collect(),
     }
 }
 
@@ -106,9 +106,9 @@ pub fn to_posneg(ir: &CompiledInstance) -> BalancedAsPosNeg {
         .collect();
     BalancedAsPosNeg {
         instance: PosNegInstance::with_weights(pos_weights, neg_weights, sets),
-        tuples: ir.bases().to_vec(),
-        pos_ids: ir.demands().to_vec(),
-        neg_ids: ir.vulnerable().to_vec(),
+        tuples: ir.bases().collect(),
+        pos_ids: ir.demands().collect(),
+        neg_ids: ir.vulnerable().collect(),
     }
 }
 

@@ -91,7 +91,7 @@ pub struct ShardedOutcome {
 fn degraded_incumbent(ir: &CompiledInstance, objective: Objective) -> ShardSolve {
     let (solution, cost, member) = match objective {
         Objective::Standard => {
-            let solution = Solution::from_tuples(ir.bases().iter().copied());
+            let solution = Solution::from_tuples(ir.bases());
             let cost = ir.side_effect_of(&solution);
             (solution, cost, "degraded_delete_all")
         }

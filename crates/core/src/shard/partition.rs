@@ -11,12 +11,17 @@
 //! solution's cost is the sum of its per-component costs, and the
 //! global optimum is the sum of the per-component optima.
 //!
-//! Each shard re-projects its slice of `ActiveParts` onto the parent
-//! instance's **shared** `StaticLayer` (an `Arc` bump — no tuple,
-//! weight, or path copying) through the same
-//! `CompiledInstance::assemble` path the engine uses, so a shard IR
-//! is byte-identical to what a cold compile of the component alone
-//! would produce, modulo the shared whole-`V` layer. The packed bitset
+//! The parent IR keeps its active sets in dense form (candidate uids,
+//! demand and vulnerable layout indices), so one pass per set groups
+//! them by component. Each shard re-projects its group onto the
+//! parent instance's **shared** `StaticLayer` (an `Arc` bump — no
+//! tuple, weight, or path copying) through the same
+//! `CompiledInstance::assemble` path the engine uses, with one uid →
+//! rank-within-component table for all shards: a shard's witness paths
+//! meet no other component's candidates, so no shard reads another
+//! shard's entries. A shard IR is therefore byte-identical to a cold
+//! compile of the instance with ΔV restricted to the shard's demands
+//! (asserted by `tests/shard_equivalence.rs`). The packed bitset
 //! rows shrink quadratically: a full instance carries
 //! `‖ΔV‖ × ‖𝒞‖/64` words of witness masks, the shards together only
 //! `Σ_c ‖ΔV_c‖ × ‖𝒞_c‖/64`.
@@ -25,9 +30,7 @@
 //! the parent `Arc` itself (asserted by `tests/shard_equivalence.rs`),
 //! so the sharded path degenerates to the unsharded one at zero cost.
 
-use crate::ir::{ActiveParts, CompiledInstance};
-use delprop_query::ViewTupleId;
-use delprop_relation::TupleId;
+use crate::ir::{ActiveParts, CompiledInstance, NO_RANK};
 use std::sync::Arc;
 
 /// Union-find over dense indices with path halving + union by rank.
@@ -159,43 +162,36 @@ pub fn partition(ir: &Arc<CompiledInstance>) -> Partition {
         };
     }
 
-    let k = comp_count as usize;
-    let mut bases: Vec<Vec<TupleId>> = vec![Vec::new(); k];
-    let mut demands: Vec<Vec<ViewTupleId>> = vec![Vec::new(); k];
-    let mut vulnerable: Vec<Vec<ViewTupleId>> = vec![Vec::new(); k];
-    for b in 0..nb as u32 {
-        bases[comp_of_base[b as usize] as usize].push(ir.base(b));
+    // Group the dense bases, demands and vulnerable tuples by component;
+    // every group stays ascending. One uid → rank-within-component table
+    // serves every shard: by the partition invariant a shard's witness
+    // paths meet no other component's candidates, so no shard reads
+    // another's entries.
+    let statics = ir.statics_arc();
+    let mut rank = vec![NO_RANK; statics.universe.len()];
+    let mut groups: Vec<ActiveParts> = (0..comp_count).map(|_| ActiveParts::default()).collect();
+    for (b, &u) in ir.base_uids.iter().enumerate() {
+        let group = &mut groups[comp_of_base[b] as usize];
+        rank[u as usize] = group.bases.len() as u32;
+        group.bases.push(u);
     }
-    for d in 0..nd as u32 {
-        let c = comp_of_base[ir.demand_row(d)[0] as usize] as usize;
-        demands[c].push(ir.demand(d));
+    for (d, &i) in ir.demand_idx.iter().enumerate() {
+        let c = comp_of_base[ir.demand_row(d as u32)[0] as usize];
+        groups[c as usize].demands.push(i);
     }
-    for r in 0..nv as u32 {
-        if let Some(&b) = ir.vulnerable_row(r).first() {
-            vulnerable[comp_of_base[b as usize] as usize].push(ir.vulnerable_id(r));
+    for (r, &i) in ir.vulnerable_idx.iter().enumerate() {
+        if let Some(&b) = ir.vulnerable_row(r as u32).first() {
+            groups[comp_of_base[b as usize] as usize].vulnerable.push(i);
         }
     }
 
-    let statics = ir.statics_arc();
+    // The shard's ΔV flags mark only its own demands: the shard IR
+    // describes the component as a self-contained instance.
     let generation = ir.generation();
-    let shards = bases
+    let shards = groups
         .into_iter()
-        .zip(demands)
-        .zip(vulnerable)
-        .map(|((bases, demands), vulnerable)| {
-            // The shard's ΔV flags mark only its own demands: the shard
-            // IR describes the component as a self-contained instance.
-            let mut deleted = vec![false; statics.norm_v()];
-            for &id in &demands {
-                deleted[statics.dense(id)] = true;
-            }
-            let parts = ActiveParts {
-                bases,
-                demands,
-                vulnerable,
-                deleted,
-            };
-            let ir = CompiledInstance::assemble(Arc::clone(&statics), parts, generation);
+        .map(|parts| {
+            let ir = CompiledInstance::assemble(Arc::clone(&statics), parts, &rank, generation);
             Shard { ir: Arc::new(ir) }
         })
         .collect();

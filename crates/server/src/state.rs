@@ -2,8 +2,8 @@
 //!
 //! A published epoch carries a [`ServingInstance`]: a label plus a
 //! warm incremental [`Engine`]. Building the engine at publish time
-//! materializes the views, the witness-provenance index, and the
-//! ΔV-independent IR layer once per instance lineage; every request
+//! materializes the views and the ΔV-independent IR layer, with its
+//! interned witness-provenance index, once per instance lineage; every request
 //! against the epoch reads the engine's installed projection through
 //! its `Arc` snapshot, and requests that add their own ΔV fork a
 //! per-request problem via [`Engine::with_delta`] — an `O(active)`

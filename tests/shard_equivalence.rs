@@ -75,6 +75,31 @@ fn sharded_standard_matches_unsharded_chain() {
     }
 }
 
+/// Every shard IR is byte-identical to a cold compile of the instance
+/// with ΔV restricted to that shard's demands: the shared rank table
+/// and the shared static layer leak nothing between components.
+#[test]
+fn shard_irs_equal_cold_compiles_of_their_demands() {
+    for (copies, seed) in [(2usize, 3u64), (3, 4), (5, 5), (4, 6)] {
+        let p = disjoint(copies, seed);
+        let part = partition(&p.compiled_arc());
+        assert!(part.shards.len() >= copies);
+        for (c, s) in part.shards.iter().enumerate() {
+            let mut cold = p.clone();
+            for &id in p.deletions() {
+                if !s.ir.demands().any(|d| d == id) {
+                    cold.unmark_deleted_id(id).unwrap();
+                }
+            }
+            assert_eq!(
+                s.ir.shape_digest(),
+                CompiledInstance::compile(&cold).shape_digest(),
+                "copies={copies} seed={seed} shard {c}"
+            );
+        }
+    }
+}
+
 /// Balanced objective: the merged outcome re-evaluates to its own
 /// reported cost on the full instance and each per-shard solve is
 /// reproducible standalone. (No byte-comparison against the full-IR
