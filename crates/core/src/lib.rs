@@ -38,9 +38,10 @@
 //! assert!(solution.is_feasible(&problem));
 //! ```
 
-// Every unsafe operation must sit in its own `unsafe { .. }` block with
-// a `// SAFETY:` comment (enforced by
-// `cargo run -p delprop-analyzer -- lint`).
+// The crate has no `unsafe`, and `forbid` keeps it that way. The
+// `deny` stays because `cargo run -p delprop-analyzer -- lint` requires
+// it at this crate root.
+#![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod classify;

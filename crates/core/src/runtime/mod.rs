@@ -29,7 +29,7 @@
 //!   (`DESIGN.md` §10): attach a [`TraceSink`] to a budget with
 //!   [`Budget::with_sink`] and every phase (compile, member spans,
 //!   verification, budget exhaustion, racing cancellations) lands in a
-//!   lock-free ring buffer as structured events, exportable as JSONL;
+//!   mutex-guarded ring buffer as structured events, exportable as JSONL;
 //!   process-wide counters and latency histograms are always on.
 //!
 //! ```

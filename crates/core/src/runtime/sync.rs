@@ -1,6 +1,6 @@
 //! The repo's single gateway to atomics and threads.
 //!
-//! Every atomic type, fence, spawn, and yield the runtime uses is
+//! Every atomic type, spawn, and yield the runtime uses is
 //! imported from here — never from `std::sync::atomic` or
 //! `std::thread` directly (`cargo run -p delprop-analyzer -- lint`
 //! enforces this).
@@ -20,7 +20,7 @@
 //! The two personalities expose the *same* API surface, so code written
 //! against the facade needs no `cfg` of its own. The modeled subset is
 //! deliberately small — `AtomicU64`, `AtomicUsize`, `AtomicBool`,
-//! `Ordering`, `fence`, `spin_loop`, and scoped/detached spawning —
+//! `Ordering`, `spin_loop`, and scoped/detached spawning —
 //! because that is the full concurrency vocabulary of the runtime;
 //! widening the facade is how new primitives buy into model coverage.
 //!
@@ -31,10 +31,10 @@
 //! exercised by those jobs and by normal builds, not by the model.
 
 #[cfg(not(delprop_model))]
-pub use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize};
+pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 
 #[cfg(delprop_model)]
-pub use delprop_modelcheck::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize};
+pub use delprop_modelcheck::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 
 // `Ordering` is plain data (no operations to instrument) and identical
 // in both personalities.

@@ -5,23 +5,22 @@
 //! does not explain *where* the ticks went. This module adds a
 //! [`TraceSink`] trait with two built-in implementations —
 //! [`NoopSink`] (the default: tracing off, zero overhead) and
-//! [`RingBufferSink`] (a lock-free, overwrite-on-wrap MPMC ring) — plus
+//! [`RingBufferSink`] (a mutex-guarded, overwrite-on-wrap ring) — plus
 //! the [`TraceEvent`] record, the [`Span`] guard, and a JSONL exporter
 //! for `artifacts/TRACE_*.jsonl` dumps.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **No dependencies.** The workspace builds `--offline` with an
-//!    empty registry; everything here is facade atomics
-//!    (`runtime::sync`) over `std`.
+//!    empty registry; everything here is `std`.
 //! 2. **Off means off.** A budget without a sink never constructs an
 //!    event: every trace call starts with one `Option` check on the
 //!    shared pool. The EX-OBS experiment holds the ring-buffer sink to
 //!    <3% overhead on EX-P1 and the no-op sink to ~0%.
-//! 3. **Never block a solver.** [`RingBufferSink::record`] is wait-free
-//!    in the common case (one `fetch_add` + one CAS); under pathological
-//!    contention on a single slot it drops the event rather than spin
-//!    forever, and counts the drop.
+//! 3. **Never block a solver for long.** A record holds the lock for
+//!    one push: stamp, count, evict the oldest event if the ring is
+//!    full, append. A solve emits a few dozen events, so the lock is
+//!    almost never contended.
 //!
 //! Events are attributed to a *member* (the portfolio member name, or a
 //! component name like `"ir"`), carry a [`Phase`] mapping onto the
@@ -31,10 +30,12 @@
 //! that makes the interleaving reconstructible after the fact.
 
 use super::budget::{self, Budget};
-use super::sync::{self, fence, AtomicU64, Ordering};
+use super::sync::{AtomicU64, Ordering};
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Which runtime phase an event belongs to.
@@ -83,24 +84,6 @@ impl Phase {
             Phase::Race => "race",
         }
     }
-
-    /// Inverse of `self as u8` for the ring's word encoding. Total on
-    /// the encoder's output; an out-of-range byte (impossible on a
-    /// seqlock-validated slot) maps to `Budget` rather than panicking
-    /// inside a trace reader.
-    fn from_u8(byte: u8) -> Phase {
-        match byte {
-            x if x == Phase::Compile as u8 => Phase::Compile,
-            x if x == Phase::Member as u8 => Phase::Member,
-            x if x == Phase::Simplex as u8 => Phase::Simplex,
-            x if x == Phase::BranchBound as u8 => Phase::BranchBound,
-            x if x == Phase::LocalSearch as u8 => Phase::LocalSearch,
-            x if x == Phase::Verify as u8 => Phase::Verify,
-            x if x == Phase::Cancel as u8 => Phase::Cancel,
-            x if x == Phase::Race as u8 => Phase::Race,
-            _ => Phase::Budget,
-        }
-    }
 }
 
 /// What kind of record an event is.
@@ -127,21 +110,10 @@ impl Kind {
             Kind::Count => "count",
         }
     }
-
-    /// Inverse of `self as u8` (see [`Phase::from_u8`]).
-    fn from_u8(byte: u8) -> Kind {
-        match byte {
-            x if x == Kind::SpanStart as u8 => Kind::SpanStart,
-            x if x == Kind::SpanEnd as u8 => Kind::SpanEnd,
-            x if x == Kind::Count as u8 => Kind::Count,
-            _ => Kind::Event,
-        }
-    }
 }
 
-/// One trace record. `Copy`, with `&'static str` labels as the only
-/// pointer payload, so the ring buffer can encode it losslessly into a
-/// fixed array of `u64` words (see the private `TraceEvent::encode`).
+/// One trace record: plain `Copy` data with `&'static str` labels, so
+/// the ring stores it by value and recording never allocates.
 #[derive(Debug, Clone, Copy)]
 pub struct TraceEvent {
     /// Monotone per-sink sequence number (stamped by the sink).
@@ -162,72 +134,6 @@ pub struct TraceEvent {
     pub value: u64,
 }
 
-/// Number of `u64` words one encoded [`TraceEvent`] occupies in a ring
-/// slot.
-const EVENT_WORDS: usize = 9;
-
-impl TraceEvent {
-    /// Encode into the ring's word representation. The two `&'static
-    /// str` labels are stored as exposed-provenance address + length
-    /// word pairs; everything else is a plain integer word. Lossless:
-    /// [`TraceEvent::decode`] reconstructs an identical event.
-    fn encode(&self) -> [u64; EVENT_WORDS] {
-        [
-            self.seq,
-            self.micros,
-            self.thread,
-            ((self.phase as u64) << 8) | self.kind as u64,
-            self.member.as_ptr().expose_provenance() as u64,
-            self.member.len() as u64,
-            self.detail.as_ptr().expose_provenance() as u64,
-            self.detail.len() as u64,
-            self.value,
-        ]
-    }
-
-    /// Decode the ring's word representation.
-    ///
-    /// Must only be called on words validated by the slot seqlock (state
-    /// unchanged across the read), i.e. on a consistent snapshot of one
-    /// complete [`TraceEvent::encode`] — a torn mix of two events could
-    /// pair one event's label address with the other's length.
-    fn decode(words: [u64; EVENT_WORDS]) -> TraceEvent {
-        TraceEvent {
-            seq: words[0],
-            micros: words[1],
-            thread: words[2],
-            phase: Phase::from_u8((words[3] >> 8) as u8),
-            kind: Kind::from_u8(words[3] as u8),
-            member: decode_static_str(words[4], words[5]),
-            detail: decode_static_str(words[6], words[7]),
-            value: words[8],
-        }
-    }
-}
-
-/// Reconstruct a `&'static str` from the exposed-provenance address and
-/// length words written by [`TraceEvent::encode`].
-fn decode_static_str(addr: u64, len: u64) -> &'static str {
-    if len == 0 {
-        // Empty labels round-trip without touching the address word, so
-        // no provenance reasoning is needed for the common "" case.
-        return "";
-    }
-    // SAFETY: the caller (TraceEvent::decode) only passes seqlock-
-    // validated word pairs, so (addr, len) came from one complete
-    // `encode` of a real `&'static str`: `addr` is that string's
-    // address, whose provenance `encode` exposed via
-    // `expose_provenance`, `len` is its exact byte length, and the
-    // pointee is immutable UTF-8 that lives for the rest of the program
-    // (`'static`). Reconstructing through `with_exposed_provenance` is
-    // therefore reading initialized, live, correctly-typed memory.
-    unsafe {
-        let ptr = std::ptr::with_exposed_provenance::<u8>(addr as usize);
-        let bytes = std::slice::from_raw_parts(ptr, len as usize);
-        std::str::from_utf8_unchecked(bytes)
-    }
-}
-
 /// Dense per-thread id, assigned on first use, starting at 1.
 ///
 /// `std::thread::ThreadId` has no stable integer accessor; this gives
@@ -235,6 +141,8 @@ fn decode_static_str(addr: u64, len: u64) -> &'static str {
 pub fn thread_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     thread_local! {
+        // Ordering: Relaxed — a pure id allocator: each thread needs a
+        // distinct value, and no other memory is published through it.
         static ID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
     }
     ID.with(|id| *id)
@@ -261,52 +169,32 @@ impl TraceSink for NoopSink {
     fn record(&self, _ev: TraceEvent) {}
 }
 
-/// One ring slot, protected by a per-slot seqlock.
-///
-/// `state` encodes ownership: `0` = never written; `2t + 1` = the
-/// writer holding ticket `t` is mid-write; `2t + 2` = ticket `t`'s
-/// event is complete. States are monotone per slot, so a reader can
-/// validate a snapshot by re-checking `state` after the read.
-///
-/// The payload is the event's word encoding in plain relaxed atomics
-/// (not an unsafe interior cell plus volatile accesses, as in the first
-/// version of this ring):
-/// a concurrent read/write pair on a word is then an ordinary atomic
-/// race with a well-defined (possibly stale) value, never UB — which is
-/// what lets Miri, ThreadSanitizer, and the `delprop_model` scheduler
-/// all run this protocol as-is. Torn *events* (a mix of two writes
-/// across words) are still possible mid-race and are discarded by the
-/// seqlock validation; decoding happens only after validation.
-struct Slot {
-    state: AtomicU64,
-    words: [AtomicU64; EVENT_WORDS],
+/// The ring's state: the record count and the surviving events, oldest
+/// first. `events` never grows past the sink's capacity.
+struct Ring {
+    recorded: u64,
+    events: VecDeque<TraceEvent>,
 }
 
-/// Lock-free multi-producer ring buffer that keeps the most recent
-/// `capacity` events, overwriting the oldest on wrap-around.
+/// Multi-producer ring buffer that keeps the most recent `capacity`
+/// events, overwriting the oldest on wrap-around.
 ///
-/// Writers take a global ticket (`fetch_add`), claim the slot
-/// `ticket % capacity` via CAS, volatile-write the payload, and publish
-/// with a release store. A writer that discovers a *newer* ticket
-/// already owns its slot drops its own (older) event — the ring's
-/// contract is "most recent N", so an event that has already been
-/// lapped carries no information. [`RingBufferSink::recorded`] still
-/// counts every record call, and [`RingBufferSink::dropped`] counts
-/// contention drops separately so tests can assert none occurred.
+/// One `Mutex` guards the ring. A record stamps `seq` and `micros`
+/// under the lock, so `seq` order is arrival order, `micros` never
+/// decreases along it, and no event is ever lost except by eviction.
+/// A poisoned lock is recovered with `into_inner`, as in the epoch
+/// cell: a trace sink must never turn into a panic of its caller.
 pub struct RingBufferSink {
     epoch: Instant,
-    mask: u64,
-    head: AtomicU64,
-    dropped: AtomicU64,
-    slots: Box<[Slot]>,
+    capacity: usize,
+    ring: Mutex<Ring>,
 }
 
 impl fmt::Debug for RingBufferSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RingBufferSink")
-            .field("capacity", &self.slots.len())
+            .field("capacity", &self.capacity)
             .field("recorded", &self.recorded())
-            .field("dropped", &self.dropped())
             .finish()
     }
 }
@@ -318,155 +206,55 @@ impl Default for RingBufferSink {
 }
 
 impl RingBufferSink {
-    /// Default capacity: 16384 events (~1.3 MiB).
+    /// Default capacity: 16384 events (~1.1 MiB).
     pub fn new() -> Self {
         Self::with_capacity(1 << 14)
     }
 
-    /// A ring holding the most recent `capacity` events (rounded up to
-    /// a power of two, minimum 8).
+    /// A ring holding the most recent `capacity` events (minimum 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.next_power_of_two().max(8);
-        let slots = (0..cap)
-            .map(|_| Slot {
-                state: AtomicU64::new(0),
-                words: [const { AtomicU64::new(0) }; EVENT_WORDS],
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+        let capacity = capacity.max(1);
         RingBufferSink {
             epoch: budget::now(),
-            mask: (cap - 1) as u64,
-            head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            slots,
+            capacity,
+            ring: Mutex::new(Ring {
+                recorded: 0,
+                events: VecDeque::with_capacity(capacity),
+            }),
         }
     }
 
-    /// Number of slots.
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Number of events the ring holds before it overwrites.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Total events ever recorded (including those since overwritten).
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
+        self.lock().recorded
     }
 
-    /// Events dropped because a newer write lapped them mid-claim.
-    /// Zero unless the ring is far too small for the producer rate.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Copy out the surviving events, oldest first (by `seq`).
-    ///
-    /// Safe to call while writers are active: slots mid-write are
-    /// re-read a bounded number of times and then skipped, so the
-    /// snapshot is consistent but possibly missing the very newest
-    /// in-flight events.
+    /// Copy out the surviving events, oldest first (by `seq`): always a
+    /// run of consecutive `seq` values ending at the newest record.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            for _ in 0..64 {
-                // Ordering: Acquire, pairing with the writer's Release
-                // publish — once a published state is observed, the
-                // word values of that publication are visible below.
-                let before = slot.state.load(Ordering::Acquire);
-                if before == 0 {
-                    break; // never written
-                }
-                if before & 1 == 1 {
-                    sync::spin_loop();
-                    continue; // mid-write; retry
-                }
-                // Seqlock read: the word loads may race a concurrent
-                // writer, which is fine — each word is individually
-                // atomic (Relaxed; no ordering is needed per word), and
-                // a torn combination is discarded by the validation
-                // below, before anything is decoded.
-                let mut words = [0u64; EVENT_WORDS];
-                for (out_word, word) in words.iter_mut().zip(slot.words.iter()) {
-                    *out_word = word.load(Ordering::Relaxed);
-                }
-                // Ordering: the Acquire fence keeps the word loads
-                // above from being reordered past the validation load
-                // below. The original volatile version of this ring
-                // lacked the fence — two Acquire loads do not order the
-                // data reads *between* them — which the facade port's
-                // ordering audit surfaced; the model and TSan suites
-                // now pin the fixed protocol down.
-                fence(Ordering::Acquire);
-                // Ordering: Relaxed — the fence above already orders
-                // this load after the word reads, and its only job is
-                // equality validation against `before`.
-                let after = slot.state.load(Ordering::Relaxed);
-                if before == after {
-                    out.push(TraceEvent::decode(words));
-                    break;
-                }
-            }
-        }
-        out.sort_by_key(|e| e.seq);
-        out
+        self.lock().events.iter().copied().collect()
     }
 }
 
 impl TraceSink for RingBufferSink {
     fn record(&self, mut ev: TraceEvent) {
-        // Ordering: Relaxed — the ticket counter is a pure allocator;
-        // slot handoff is synchronized through `state`, not `head`.
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        ev.seq = ticket;
+        let mut ring = self.lock();
+        ev.seq = ring.recorded;
         ev.micros = self.epoch.elapsed().as_micros() as u64;
-        let slot = &self.slots[(ticket & self.mask) as usize];
-        let writing = 2 * ticket + 1;
-        let done = 2 * ticket + 2;
-        let mut spins = 0u32;
-        loop {
-            // Ordering: Acquire — pairs with the previous owner's
-            // Release publish, so the monotone state progression is
-            // observed in order while we wait our turn.
-            let state = slot.state.load(Ordering::Acquire);
-            if state >= done {
-                // A newer ticket already owns this slot: our event was
-                // lapped before we could write it. Drop it.
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            if state & 1 == 1 {
-                // An older writer is mid-write on this slot; wait for
-                // it to publish, yielding if it takes long.
-                spins += 1;
-                if spins < 128 {
-                    sync::spin_loop();
-                } else {
-                    sync::thread::yield_now();
-                }
-                continue;
-            }
-            // Ordering: Acquire on success so this writer's word stores
-            // are ordered after the previous publication it overwrites;
-            // Relaxed on failure (the retry re-loads with Acquire).
-            if slot
-                .state
-                .compare_exchange_weak(state, writing, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                break;
-            }
+        ring.recorded += 1;
+        if ring.events.len() == self.capacity {
+            ring.events.pop_front();
         }
-        // We hold the slot's seqlock (`state` is odd with our ticket),
-        // so no other *writer* races these stores; readers may load
-        // concurrently but discard mismatched-state snapshots.
-        // Ordering: Relaxed per word — publication ordering is provided
-        // wholesale by the Release store of `done` below.
-        for (word, value) in slot.words.iter().zip(ev.encode()) {
-            word.store(value, Ordering::Relaxed);
-        }
-        // Ordering: Release — publishes every word store above to any
-        // reader whose Acquire load observes `done`.
-        slot.state.store(done, Ordering::Release);
+        ring.events.push_back(ev);
     }
 }
 
@@ -644,7 +432,6 @@ mod tests {
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 10);
         assert_eq!(ring.recorded(), 10);
-        assert_eq!(ring.dropped(), 0);
         for (i, e) in snap.iter().enumerate() {
             assert_eq!(e.seq, i as u64);
             assert_eq!(e.value, i as u64);
@@ -689,7 +476,6 @@ mod tests {
         });
         let snap = ring.snapshot();
         assert_eq!(ring.recorded(), THREADS * PER_THREAD);
-        assert_eq!(ring.dropped(), 0);
         assert_eq!(snap.len(), (THREADS * PER_THREAD) as usize);
         // Every event landed exactly once: all seqs distinct and every
         // payload value present.
@@ -701,18 +487,32 @@ mod tests {
         assert_eq!(values, (0..THREADS * PER_THREAD).collect::<Vec<u64>>());
     }
 
+    /// A snapshot is the newest `min(recorded, capacity)` events: its
+    /// `seq` values are consecutive and end at the newest record, and
+    /// `micros` never decreases along them.
+    fn assert_window(snap: &[TraceEvent], capacity: usize) {
+        let newest = snap.last().map_or(0, |e| e.seq + 1);
+        assert_eq!(snap.len() as u64, newest.min(capacity as u64), "gap");
+        for pair in snap.windows(2) {
+            assert_eq!(pair[0].seq + 1, pair[1].seq, "seq not consecutive");
+            assert!(pair[0].micros <= pair[1].micros, "micros decreased");
+        }
+    }
+
     #[test]
     fn concurrent_wraparound_never_tears() {
         // A tiny ring hammered from 4 threads: snapshots taken
-        // mid-flight must never observe a half-written event. Each
-        // thread writes a distinct (member, value) pair, so a torn read
-        // would surface as a mismatched pair.
+        // mid-flight must never observe a half-written event, a gap or
+        // a clock running backwards. Each thread writes a distinct
+        // (member, value) pair, so a torn read would surface as a
+        // mismatched pair.
         const MEMBERS: [&str; 4] = ["t0", "t1", "t2", "t3"];
+        const CAPACITY: usize = 32;
         // Shrunk under Miri (interpreted execution) so the job finishes
         // while still wrapping the ring many times over.
         const PER_THREAD: u64 = if cfg!(miri) { 200 } else { 5_000 };
         const SNAPSHOTS: u32 = if cfg!(miri) { 5 } else { 50 };
-        let ring = Arc::new(RingBufferSink::with_capacity(32));
+        let ring = Arc::new(RingBufferSink::with_capacity(CAPACITY));
         std::thread::scope(|scope| {
             for (t, name) in MEMBERS.iter().enumerate() {
                 let ring = Arc::clone(&ring);
@@ -722,16 +522,25 @@ mod tests {
                     }
                 });
             }
-            for _ in 0..SNAPSHOTS {
-                for e in ring.snapshot() {
+            // Keep reading until the writers are done, so snapshots
+            // overlap the writes rather than finishing before them.
+            let mut taken = 0;
+            while taken < SNAPSHOTS || ring.recorded() < 4 * PER_THREAD {
+                let snap = ring.snapshot();
+                for e in &snap {
                     assert_eq!(MEMBERS[e.value as usize], e.member, "torn event");
                 }
+                assert_window(&snap, CAPACITY);
+                taken += 1;
             }
         });
         assert_eq!(ring.recorded(), 4 * PER_THREAD);
-        for e in ring.snapshot() {
+        let snap = ring.snapshot();
+        for e in &snap {
             assert_eq!(MEMBERS[e.value as usize], e.member);
         }
+        assert_window(&snap, CAPACITY);
+        assert_eq!(snap.last().map(|e| e.seq), Some(4 * PER_THREAD - 1));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `runtime::sync` from plain `std` atomics onto the
 //! `delprop-modelcheck` scheduler: every atomic operation, spawn, join,
 //! and spin hint becomes a scheduling point, and [`explore`] drives the
-//! *same production code* — `Budget::charge`, the seqlock trace ring,
+//! *same production code* — `Budget::charge`, the epoch cell,
 //! `Portfolio::solve_racing` — through bounded-exhaustive or seeded
 //! random interleavings. A failing schedule panics with a replayable
 //! `mc1:` seed (see DESIGN.md §11 for the replay workflow).
@@ -20,8 +20,7 @@
 //! `DELPROP_MODEL_ITERS` environment variable in the dedicated CI job.
 #![cfg(all(delprop_model, not(delprop_model_bug)))]
 
-use delprop_core::runtime::trace::{Kind, Phase, TraceEvent, TraceSink};
-use delprop_core::runtime::{Budget, EpochCell, MemberStatus, Portfolio, RingBufferSink};
+use delprop_core::runtime::{Budget, EpochCell, MemberStatus, Portfolio};
 use delprop_core::{CoreError, Problem};
 use delprop_modelcheck::{explore, thread, Config, Report};
 use delprop_query::parse_query;
@@ -358,65 +357,6 @@ fn model_epoch_retired_guard_stays_intact() {
         });
         assert_eq!(cell.epoch(), 4);
         assert_eq!(*cell.snapshot(), (4, 4));
-    });
-    assert_clean_random(&report);
-}
-
-// -------------------------------------------------------------------
-// Seqlock trace ring
-// -------------------------------------------------------------------
-
-/// A snapshot racing two writers on a minimum-size ring must never
-/// observe a torn event: every decoded event pairs the member label
-/// with the value its writer recorded. Random walks with preemptions —
-/// the per-record protocol is ~15 scheduling points, too deep for
-/// exhaustive DFS.
-#[test]
-fn model_seqlock_reader_never_observes_torn_event() {
-    const MEMBERS: [&str; 2] = ["left", "right"];
-    let report = explore(&Config::random(0x05EC_10C4, iters(60), 2), || {
-        let ring = Arc::new(RingBufferSink::with_capacity(8));
-        thread::scope(|s| {
-            for (t, name) in MEMBERS.iter().enumerate() {
-                let ring = Arc::clone(&ring);
-                s.spawn(move || {
-                    for i in 0..2 {
-                        ring.record(TraceEvent {
-                            seq: 0,
-                            micros: 0,
-                            thread: 0,
-                            phase: Phase::Budget,
-                            kind: Kind::Count,
-                            member: name,
-                            detail: "",
-                            value: (t * 10 + i) as u64,
-                        });
-                    }
-                });
-            }
-            let ring = Arc::clone(&ring);
-            s.spawn(move || {
-                for e in ring.snapshot() {
-                    // A torn read would mix one writer's label with
-                    // the other's value word.
-                    assert_eq!(
-                        MEMBERS[(e.value / 10) as usize],
-                        e.member,
-                        "torn event: member {:?} with value {}",
-                        e.member,
-                        e.value
-                    );
-                }
-            });
-        });
-        // Quiescent: everything recorded survives untorn, in order.
-        let snap = ring.snapshot();
-        assert_eq!(ring.recorded(), 4);
-        assert_eq!(ring.dropped(), 0, "capacity 8 never laps 4 events");
-        assert_eq!(snap.len(), 4);
-        for e in &snap {
-            assert_eq!(MEMBERS[(e.value / 10) as usize], e.member);
-        }
     });
     assert_clean_random(&report);
 }

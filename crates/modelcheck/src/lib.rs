@@ -1,12 +1,12 @@
 //! # delprop-modelcheck — an in-repo deterministic concurrency checker
 //!
-//! A loom-lite, zero-dependency model checker for the lock-free
-//! protocols in `delprop-core::runtime` (atomic budget pool, seqlock
-//! trace ring, racing portfolio cancellation). It runs a closure under
-//! *many thread schedules* — bounded-exhaustive DFS over yield points
-//! for small models, seeded random walks with a preemption bound for
-//! larger ones — and reports any failing schedule as a **replayable,
-//! shrunk seed**.
+//! A loom-lite, zero-dependency model checker for the concurrency
+//! protocols in `delprop-core::runtime` (atomic budget pool, epoch
+//! cell, racing portfolio cancellation, shard task scheduler). It runs
+//! a closure under *many thread schedules* — bounded-exhaustive DFS
+//! over yield points for small models, seeded random walks with a
+//! preemption bound for larger ones — and reports any failing schedule
+//! as a **replayable, shrunk seed**.
 //!
 //! ## How interposition works
 //!

@@ -18,7 +18,7 @@ use crate::error::QueryError;
 use crate::eval::{hashjoin, CompiledQuery};
 use crate::properties::is_key_preserving;
 use delprop_relation::{Database, Tuple, TupleId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 /// One materialized view tuple: head values plus witness provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,14 +174,15 @@ impl std::fmt::Display for ViewTupleId {
     }
 }
 
-/// The full set of materialized views `V = {V1, …, Vm}` with a global
-/// inverted occurrence index from base tuples to the view tuples whose
-/// witness sets contain them.
+/// The full set of materialized views `V = {V1, …, Vm}`.
+///
+/// The inverted index from base tuples to the view tuples whose witness
+/// sets contain them lives in the compiled IR's static layer
+/// (`delprop_core::ir`), built once per instance.
 #[derive(Debug, Clone)]
 pub struct ViewSet {
     /// Views in query order.
     pub views: Vec<View>,
-    occurrences: HashMap<TupleId, Vec<ViewTupleId>>,
 }
 
 impl ViewSet {
@@ -194,23 +195,9 @@ impl ViewSet {
         Ok(ViewSet::from_views(views))
     }
 
-    /// Build the set (and its occurrence index) from materialized views.
+    /// Build the set from materialized views.
     pub fn from_views(views: Vec<View>) -> ViewSet {
-        let mut occurrences: HashMap<TupleId, Vec<ViewTupleId>> = HashMap::new();
-        for (vi, view) in views.iter().enumerate() {
-            for (ti, vt) in view.tuples.iter().enumerate() {
-                let id = ViewTupleId::new(vi, ti);
-                let mut seen: HashSet<TupleId> = HashSet::new();
-                for ws in &vt.witness_sets {
-                    for &t in ws.iter() {
-                        if seen.insert(t) {
-                            occurrences.entry(t).or_default().push(id);
-                        }
-                    }
-                }
-            }
-        }
-        ViewSet { views, occurrences }
+        ViewSet { views }
     }
 
     /// Total number of view tuples `‖V‖` (paper notation: sum of sizes).
@@ -221,11 +208,6 @@ impl ViewSet {
     /// Resolve a view-tuple id.
     pub fn tuple(&self, id: ViewTupleId) -> &ViewTuple {
         &self.views[id.view].tuples[id.index]
-    }
-
-    /// All view tuples whose provenance involves base tuple `t`.
-    pub fn occurrences(&self, t: TupleId) -> &[ViewTupleId] {
-        self.occurrences.get(&t).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Whether every view is key-preserving (precondition of the solvers).
@@ -341,10 +323,14 @@ mod tests {
         let tkde_xml = d
             .find_by_key(t2, &[Value::str("TKDE"), Value::str("XML")])
             .unwrap();
-        assert_eq!(vs.occurrences(tkde_xml).len(), 3);
-        // An untouched tuple id yields an empty slice.
-        let bogus = TupleId::new(t2, 999);
-        assert!(vs.occurrences(bogus).is_empty());
+        let occurs = |t: TupleId| {
+            vs.iter()
+                .filter(|(_, vt)| vt.witness_sets.iter().any(|ws| ws.contains(&t)))
+                .count()
+        };
+        assert_eq!(occurs(tkde_xml), 3);
+        // An untouched tuple id occurs nowhere.
+        assert_eq!(occurs(TupleId::new(t2, 999)), 0);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 
 use crate::rng::SplitMix64;
 use delprop_core::{Problem, Solution};
-use delprop_query::parse_query;
+use delprop_query::{parse_query, ViewTupleId};
 use delprop_relation::{tup, Database, RelationSchema, Schema, TupleId};
+use std::collections::{BTreeSet, HashMap};
 
 /// Parameters for the cleaning scenario.
 #[derive(Debug, Clone, Copy)]
@@ -126,7 +127,7 @@ pub fn generate(params: CleaningParams, seed: u64) -> CleaningScenario {
     // them), and only sometimes notices the roster (QJ) entry itself.
     // Iterate the Vec (not a HashSet): randomness is drawn inside the
     // loop, so the iteration order must be deterministic.
-    let mut reported: Vec<delprop_query::ViewTupleId> = Vec::new();
+    let mut reported: Vec<ViewTupleId> = Vec::new();
     for &d in &dirty_tuples {
         let qa_hits: Vec<_> = problem
             .views()
@@ -163,8 +164,21 @@ pub fn generate(params: CleaningParams, seed: u64) -> CleaningScenario {
 /// fewest *remaining* view tuples — without seeing the other queries'
 /// feedback. Returns the accumulated solution.
 pub fn sequential_baseline(problem: &Problem, view_order: &[usize]) -> Solution {
-    let mut deleted: std::collections::BTreeSet<TupleId> = Default::default();
+    let mut deleted: BTreeSet<TupleId> = Default::default();
     for &vi in view_order {
+        // Damage per base tuple within THIS view (the sequential cleaner
+        // can't see the others): the non-ΔV tuples whose witness sets
+        // contain it. ΔV is fixed, so one count per view suffices.
+        let mut damage: HashMap<TupleId, usize> = HashMap::new();
+        for (index, vt) in problem.views().views[vi].tuples.iter().enumerate() {
+            if problem.is_deleted(ViewTupleId::new(vi, index)) {
+                continue;
+            }
+            let touched: BTreeSet<TupleId> = vt.witness_sets.iter().flatten().copied().collect();
+            for t in touched {
+                *damage.entry(t).or_default() += 1;
+            }
+        }
         let demands: Vec<_> = problem
             .deletions()
             .iter()
@@ -176,20 +190,12 @@ pub fn sequential_baseline(problem: &Problem, view_order: &[usize]) -> Solution 
             if already_cut {
                 continue;
             }
-            // Greedy per-tuple choice, counting damage only within THIS
-            // view (the sequential cleaner can't see the others).
+            // Greedy per-tuple choice by damage within this view.
             let best = problem
                 .witnesses(rid)
                 .iter()
                 .copied()
-                .min_by_key(|&t| {
-                    problem
-                        .views()
-                        .occurrences(t)
-                        .iter()
-                        .filter(|vid| vid.view == vi && !problem.is_deleted(**vid))
-                        .count()
-                })
+                .min_by_key(|t| damage.get(t).copied().unwrap_or(0))
                 .expect("non-empty witness set");
             deleted.insert(best);
         }

@@ -119,11 +119,10 @@ fn main() {
     let traced = Portfolio::standard().solve_racing(&p, &budget).unwrap();
     let events = ring.snapshot();
     println!(
-        "traced racing run: winner {}, {} events captured ({} recorded, {} dropped)",
+        "traced racing run: winner {}, {} events captured ({} recorded)",
         traced.winner,
         events.len(),
-        ring.recorded(),
-        ring.dropped()
+        ring.recorded()
     );
     match trace::dump_jsonl("artifacts/TRACE_portfolio.jsonl", &events) {
         Ok(()) => println!("trace dumped to artifacts/TRACE_portfolio.jsonl"),

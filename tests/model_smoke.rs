@@ -6,7 +6,7 @@
 //! every plain `cargo test` run, with no special flags: it model-checks
 //! small stand-alone protocols written directly against
 //! `delprop_modelcheck`'s instrumented primitives — shaped after the
-//! real budget admit loop and the real seqlock slot protocol — and
+//! real budget admit loop and a classic per-slot seqlock — and
 //! exercises the seed replay/round-trip machinery end to end.
 //!
 //! Iteration counts are smoke-sized; the CI model job raises them with
@@ -92,9 +92,9 @@ fn check_then_act_admit_is_caught_with_replayable_seed() {
     assert!(failure.seed.choices.len() <= failure.original_seed.choices.len());
 }
 
-/// A two-word miniature of the trace ring's per-slot seqlock: writer
-/// bumps `state` to odd, writes both words, publishes even; reader
-/// validates `state` around the word loads and discards torn snapshots.
+/// A two-word seqlock miniature: the writer bumps `state` to odd,
+/// writes both words, publishes even; the reader validates `state`
+/// around the word loads and discards torn snapshots.
 /// The model asserts a validated snapshot is never a mix of two writes.
 #[test]
 fn seqlock_miniature_never_yields_torn_validated_reads() {
