@@ -460,10 +460,10 @@ pub fn ex_p1() -> String {
 
 /// Scale factor for the scaling experiments (the harness's `--scale`
 /// knob). 1 — the default — reproduces the gated sweeps exactly; larger
-/// factors multiply the workload sizes for order-of-magnitude
-/// exploration (ROADMAP item 5 prep) and suppress the baseline-locked
-/// speedup columns, since the committed baselines only describe the
-/// unscaled sweep.
+/// factors multiply the workload sizes, to see how a sweep's costs grow
+/// an order of magnitude past its gated sizes, and suppress the
+/// baseline-locked speedup columns, since the committed baselines only
+/// describe the unscaled sweep.
 static SCALE: delprop_core::runtime::sync::AtomicUsize =
     delprop_core::runtime::sync::AtomicUsize::new(1);
 

@@ -22,17 +22,20 @@
 //! | `k_s = |ws(s)|`                         | [`vulnerable_k`](CompiledInstance::vulnerable_k) |
 //! | weights `w_s`                           | [`vulnerable_weight`](CompiledInstance::vulnerable_weight) / [`demand_weight`](CompiledInstance::demand_weight) |
 //!
-//! The struct is plain old data — `Vec`s of `Copy` types, no interior
-//! mutability, no maps — hence `Send + Sync`, the prerequisite for
-//! sharding solves across threads later.
+//! The data is plain — slabs of `Copy` types behind an `Arc`, no interior
+//! mutability, no maps — hence `Send + Sync`, which the shard scheduler
+//! relies on to solve components across threads.
 //!
 //! Construction is split in two. A [`StaticLayer`] holds everything
 //! ΔV-independent, including the witness-path tuples interned once as
-//! uids; `CompiledInstance::assemble` projects dense `ActiveParts`
-//! (candidate uids, demand and vulnerable layout indices) onto it,
-//! appending rows in order and building their transposes by counting.
-//! Cold compiles, engine projections and shard partitions all take that
-//! one path, and none of them searches for an id per entry.
+//! uids; a `StoreBuilder` projects dense active sets (candidate uids,
+//! demand and vulnerable layout indices) onto it, appending rows in
+//! order and building their transposes by counting. Every array lands
+//! in one `IrStore` of three slabs (`u32`, `f64`, `u64` words), and an
+//! instance is a set of ranges into it. Cold compiles and engine
+//! projections fill a store with one instance
+//! (`CompiledInstance::assemble`); the shard partitioner fills one store
+//! with every shard. None of them searches for an id per entry.
 
 use crate::problem::Problem;
 use crate::runtime::metrics;
@@ -41,7 +44,7 @@ use delprop_hypergraph::{find_pivot_structure, DataDualGraph, DualHypergraph};
 use delprop_query::ViewTupleId;
 use delprop_relation::TupleId;
 use delprop_setcover::kernel::words;
-use delprop_setcover::{BitMatrix, BitSet};
+use delprop_setcover::BitSet;
 use std::sync::Arc;
 
 /// Number of [`CompiledInstance::compile`] calls so far in this process
@@ -54,7 +57,7 @@ pub fn compile_count() -> u64 {
 /// Number of incremental IR assemblies (engine projections) so far in
 /// this process — the `ir.patches` metric. An assembly reuses a
 /// [`StaticLayer`] and costs `O(active)` entries with no id search (plus
-/// clearing a uid rank table and the ΔV flag words); a compile costs
+/// clearing a uid rank table); a compile costs
 /// `O(‖V‖ log ‖V‖)` plus a data-dual-graph construction.
 pub fn patch_count() -> u64 {
     metrics::IR_PATCHES.get()
@@ -162,14 +165,13 @@ impl StaticLayer {
                 .collect()
         });
         let pivot = find_pivot_structure(&graph).map(|p| {
-            let children = p.forest.children();
-            let (children_offsets, children) = group_csr(
-                children.len(),
-                children
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(v, row)| row.iter().map(move |&c| (v as u32, c as u32))),
-            );
+            // Child lists in vertex order, concatenated.
+            let mut children_offsets = vec![0u32];
+            let mut children: Vec<u32> = Vec::new();
+            for row in p.forest.children() {
+                children.extend(row.iter().map(|&c| c as u32));
+                children_offsets.push(children.len() as u32);
+            }
             PivotData {
                 endpoints: p.endpoints.iter().map(|&e| e as u32).collect(),
                 vertex_tuple: (0..graph.num_vertices()).map(|v| graph.tuple(v)).collect(),
@@ -226,7 +228,8 @@ impl StaticLayer {
                     .expect("path tuples define the universe") as u32
             })
             .collect();
-        let (occ_offsets, occ) = transpose(&path_offsets, &uid_paths, universe.len());
+        let (mut occ_offsets, mut occ) = (vec![0u32; universe.len() + 1], vec![0u32; paths.len()]);
+        transpose_into(&path_offsets, &uid_paths, &mut occ_offsets, &mut occ);
         StaticLayer {
             view_tuples,
             all_weights,
@@ -286,7 +289,6 @@ pub(crate) const NO_RANK: u32 = u32::MAX;
 /// ascending and canonical — exactly what a cold
 /// [`CompiledInstance::compile`] of the same problem state derives — so
 /// cold and incremental assemblies are byte-identical by construction.
-#[derive(Default)]
 pub(crate) struct ActiveParts {
     /// Candidate base tuples `𝒞` as uids.
     pub(crate) bases: Vec<u32>,
@@ -301,68 +303,152 @@ pub(crate) struct ActiveParts {
 /// Built by [`CompiledInstance::compile`] (or lazily via
 /// [`Problem::compiled`]); all ten solver entry points consume this
 /// instead of re-deriving incidence maps from [`Problem`].
+///
+/// The instance owns no arrays of its own: it is a `Layout` of ranges
+/// into an `IrStore`, shared by `Arc` with every other instance built
+/// into the same store (the shards of one partition).
 #[derive(Debug, Clone)]
 pub struct CompiledInstance {
-    // ---- interning tables (ids resolve through `statics`) ----
-    /// Candidate base tuples `𝒞` as ascending uids (dense base index).
-    pub(crate) base_uids: Vec<u32>,
-    /// `ΔV` as ascending layout indices (dense demand index).
-    pub(crate) demand_idx: Vec<u32>,
-    /// Vulnerable preserved view tuples as ascending layout indices
-    /// (dense red index).
-    pub(crate) vulnerable_idx: Vec<u32>,
-
-    // ---- flat weight arrays ----
-    demand_weights: Vec<f64>,
-    vulnerable_weights: Vec<f64>,
-
-    // ---- CSR adjacency (both directions) ----
-    /// demand → witness bases (row order = witness-set order: sorted).
-    demand_offsets: Vec<u32>,
-    demand_witnesses: Vec<u32>,
-    /// base → incident vulnerable view tuples (rows sorted ascending).
-    incidence_offsets: Vec<u32>,
-    incidence: Vec<u32>,
-    /// base → demands whose witness set contains it (rows sorted).
-    hit_offsets: Vec<u32>,
-    hit_demands: Vec<u32>,
-    /// vulnerable → candidate witnesses (`ws(s) ∩ 𝒞`).
-    vulnerable_offsets: Vec<u32>,
-    vulnerable_witnesses: Vec<u32>,
-
-    // ---- packed bitset rows (kernel layer) ----
-    /// demand → witness-base membership, one packed row per demand over
-    /// the base universe. `witness_mask_row(d)` ∩ deletion mask ≠ ∅ is the
-    /// branch-free form of "`mask` eliminates `d`".
-    witness_masks: BitMatrix,
-    /// vulnerable → candidate-witness membership, one packed row per red
-    /// element over the base universe — the word-parallel side of
-    /// coverage counting and side-effect evaluation.
-    vulnerable_masks: BitMatrix,
-
-    /// `k_s = |ws(s)|` per vulnerable tuple — the **full** witness count,
-    /// including non-candidate witnesses (the dual capacities of
-    /// Algorithm 1 divide by this).
-    vulnerable_k: Vec<u32>,
-
-    // ---- the whole-`V` layer (DP, demand ordering, evaluation) ----
+    /// The flat slabs every range of `layout` points into.
+    store: Arc<IrStore>,
+    /// Where this instance's arrays sit in `store`.
+    layout: Layout,
     /// The ΔV-independent layer: view-tuple layout, weights, witness
     /// paths, forest depths, pivot certification, scalars. Shared by
-    /// `Arc` between an engine's successive projections; owned (fresh)
-    /// for a cold compile.
+    /// `Arc` between an engine's successive projections and the shards
+    /// of a partition; owned (fresh) for a cold compile.
     statics: Arc<StaticLayer>,
-    /// Which view tuples are in `ΔV`, over the layout indices.
-    deleted: BitSet,
-
-    /// Demand indices in bottom-up processing order (decreasing witness-path
-    /// top depth in the data-dual forest; identity when not a forest) —
-    /// Algorithm 1's GVY-style order, precomputed.
-    demand_order: Vec<u32>,
-
     /// The mutation generation of the [`Problem`] this IR was built
     /// against (see [`Problem::generation`]); checked by
     /// [`Problem::verify_compiled`] to reject stale IR/problem pairings.
     generation: u64,
+}
+
+/// The arrays of one or more compiled instances, one slab per element
+/// type. A cold compile or an engine projection fills a store with one
+/// instance; a shard partition fills one store with every shard, which
+/// share it by `Arc`. Four heap blocks (the slabs and the `Arc`) hold it
+/// all.
+#[derive(Debug)]
+pub(crate) struct IrStore {
+    /// Dense sets, CSR offsets and rows, `k_s`, the demand order.
+    ids: Box<[u32]>,
+    /// Demand and vulnerable weights.
+    weights: Box<[f64]>,
+    /// Packed witness and vulnerable mask rows.
+    words: Box<[u64]>,
+}
+
+/// A half-open range of one [`IrStore`] slab.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    fn new(start: usize, end: usize) -> Span {
+        let at = |i: usize| u32::try_from(i).expect("IR store slab exceeds u32 indices");
+        Span {
+            start: at(start),
+            end: at(end),
+        }
+    }
+
+    fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    fn of<T>(self, slab: &[T]) -> &[T] {
+        &slab[self.start as usize..self.end as usize]
+    }
+
+    fn of_mut<T>(self, slab: &mut [T]) -> &mut [T] {
+        &mut slab[self.start as usize..self.end as usize]
+    }
+}
+
+/// A CSR array in the ids slab. Offsets are relative to the data span.
+#[derive(Debug, Clone, Copy)]
+struct Csr {
+    offsets: Span,
+    data: Span,
+}
+
+/// A CSR array resolved to its two slices: a loop over its rows looks
+/// the store ranges up once, not once per row.
+#[derive(Clone, Copy)]
+pub(crate) struct Rows<'a> {
+    offsets: &'a [u32],
+    data: &'a [u32],
+}
+
+impl<'a> Rows<'a> {
+    /// Row `i`.
+    pub(crate) fn row(self, i: u32) -> &'a [u32] {
+        csr_row(self.offsets, self.data, i as usize)
+    }
+}
+
+/// Packed rows resolved to their slice, `per_row` words each.
+#[derive(Clone, Copy)]
+pub(crate) struct MaskRows<'a> {
+    words: &'a [u64],
+    per_row: usize,
+}
+
+impl<'a> MaskRows<'a> {
+    /// Row `i`.
+    pub(crate) fn row(self, i: u32) -> &'a [u64] {
+        &self.words[i as usize * self.per_row..][..self.per_row]
+    }
+}
+
+/// Where one instance's arrays sit in its [`IrStore`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    // ---- interning tables (ids resolve through `statics`) ----
+    /// Candidate base tuples `𝒞` as ascending uids (dense base index).
+    base_uids: Span,
+    /// `ΔV` as ascending layout indices (dense demand index).
+    demand_idx: Span,
+    /// Vulnerable preserved view tuples as ascending layout indices
+    /// (dense red index).
+    vulnerable_idx: Span,
+
+    // ---- CSR adjacency (both directions) ----
+    /// demand → witness bases (row order = witness-set order: sorted).
+    demand: Csr,
+    /// base → demands whose witness set contains it (rows sorted).
+    hit: Csr,
+    /// vulnerable → candidate witnesses (`ws(s) ∩ 𝒞`).
+    vulnerable: Csr,
+    /// base → incident vulnerable view tuples (rows sorted ascending).
+    incidence: Csr,
+
+    /// `k_s = |ws(s)|` per vulnerable tuple — the **full** witness count,
+    /// including non-candidate witnesses (the dual capacities of
+    /// Algorithm 1 divide by this).
+    vulnerable_k: Span,
+    /// Demand indices in bottom-up processing order (decreasing witness-path
+    /// top depth in the data-dual forest; identity when not a forest) —
+    /// Algorithm 1's GVY-style order, precomputed.
+    demand_order: Span,
+
+    // ---- flat weight arrays (weights slab) ----
+    demand_weights: Span,
+    vulnerable_weights: Span,
+
+    // ---- packed bitset rows (words slab) ----
+    /// demand → witness-base membership, one packed row of
+    /// `base_words()` words per demand over the base universe.
+    /// `witness_mask_row(d)` ∩ deletion mask ≠ ∅ is the branch-free form
+    /// of "`mask` eliminates `d`".
+    witness_masks: Span,
+    /// vulnerable → candidate-witness membership, one packed row per red
+    /// element over the base universe — the word-parallel side of
+    /// coverage counting and side-effect evaluation.
+    vulnerable_masks: Span,
 }
 
 /// Row `i` of a CSR array.
@@ -370,68 +456,230 @@ pub(crate) fn csr_row<'a, T>(offsets: &[u32], data: &'a [T], i: usize) -> &'a [T
     &data[offsets[i] as usize..offsets[i + 1] as usize]
 }
 
-/// Group `(key, value)` pairs into CSR rows over `0..keys` by counting:
-/// one pass counts each row, a prefix sum turns the counts into row
-/// starts, a second pass fills. Each row keeps the pairs' iteration
-/// order.
-fn group_csr<I>(keys: usize, pairs: I) -> (Vec<u32>, Vec<u32>)
-where
-    I: Iterator<Item = (u32, u32)> + Clone,
-{
-    // Row `k`'s count lands in slot `k + 2`, so after the prefix sum slot
-    // `k + 1` holds row `k`'s start: the fill advances it to the row's
-    // end, which is row `k + 1`'s offset. The spare last slot goes.
-    let mut offsets = vec![0u32; keys + 2];
-    for (k, _) in pairs.clone() {
-        offsets[k as usize + 2] += 1;
+/// Transpose the CSR array `(offsets, data)`, whose columns lie in
+/// `0..out_offsets.len() - 1`, by counting: one pass over `data` counts
+/// each column, a prefix sum turns the counts into row starts, a pass
+/// over the rows fills and advances each start to its row's end, and a
+/// shift turns the ends back into offsets. Rows of the result ascend,
+/// because the source rows are walked in order. `out_offsets` must be
+/// zeroed and `out_data` hold one slot per entry.
+fn transpose_into(offsets: &[u32], data: &[u32], out_offsets: &mut [u32], out_data: &mut [u32]) {
+    let cols = out_offsets.len() - 1;
+    for &c in data {
+        out_offsets[c as usize + 1] += 1;
     }
-    for k in 2..keys + 2 {
-        offsets[k] += offsets[k - 1];
+    for c in 1..=cols {
+        out_offsets[c] += out_offsets[c - 1];
     }
-    let mut data = vec![0u32; offsets[keys + 1] as usize];
-    for (k, v) in pairs {
-        let slot = &mut offsets[k as usize + 1];
-        data[*slot as usize] = v;
-        *slot += 1;
+    for r in 0..offsets.len() - 1 {
+        for &c in csr_row(offsets, data, r) {
+            let slot = &mut out_offsets[c as usize];
+            out_data[*slot as usize] = r as u32;
+            *slot += 1;
+        }
     }
-    offsets.pop();
-    (offsets, data)
+    out_offsets.copy_within(..cols, 1);
+    out_offsets[0] = 0;
 }
 
-/// Transpose a CSR array with columns in `0..cols`; rows of the result
-/// ascend, because the source rows are walked in order.
-fn transpose(offsets: &[u32], data: &[u32], cols: usize) -> (Vec<u32>, Vec<u32>) {
-    let row = |r: usize| {
-        csr_row(offsets, data, r)
-            .iter()
-            .map(move |&c| (c, r as u32))
-    };
-    group_csr(cols, (0..offsets.len() - 1).flat_map(row))
+/// Slab lengths of a store of `instances` instances holding `nb` bases,
+/// `nd` demands, `nv` vulnerable tuples, `wd` demand witnesses and `wv`
+/// candidate witnesses of vulnerable tuples in total, and `words` packed
+/// words (each instance's demands and vulnerable tuples times its base
+/// words).
+pub(crate) struct StoreSize {
+    pub(crate) instances: usize,
+    pub(crate) nb: usize,
+    pub(crate) nd: usize,
+    pub(crate) nv: usize,
+    pub(crate) wd: usize,
+    pub(crate) wv: usize,
+    pub(crate) words: usize,
 }
 
-/// CSR rows of the candidate witnesses of the view tuples at layout
-/// indices `idx`: each witness path's uids through `rank`, non-candidates
-/// ([`NO_RANK`]) dropped. Rows ascend, because `rank` is monotone.
-fn witness_rows(statics: &StaticLayer, idx: &[u32], rank: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let mut offsets = Vec::with_capacity(idx.len() + 1);
-    offsets.push(0u32);
-    let path_len = |&i: &u32| statics.path_uids(i as usize).len();
-    let mut data = Vec::with_capacity(idx.iter().map(path_len).sum());
-    for &i in idx {
-        let ranks = statics
-            .path_uids(i as usize)
-            .iter()
-            .map(|&u| rank[u as usize]);
-        data.extend(ranks.filter(|&b| b != NO_RANK));
-        offsets.push(data.len() as u32);
+impl IrStore {
+    /// Build a store of `size`: `fill` pushes its instances through a
+    /// [`StoreBuilder`]. Each slab is reserved once at its final size, so
+    /// a store of any number of instances costs four heap blocks (three
+    /// slabs and the `Arc`).
+    pub(crate) fn build<R>(
+        statics: &StaticLayer,
+        rank: &[u32],
+        size: StoreSize,
+        fill: impl FnOnce(&mut StoreBuilder<'_>) -> R,
+    ) -> (Arc<IrStore>, R) {
+        // Per instance: three dense sets, two CSR arrays of `nd`/`nv`
+        // rows and their two transposes of `nb` rows, `k_s` and the
+        // demand order.
+        let StoreSize { nb, nd, nv, .. } = size;
+        let ids = 3 * nb + 4 * nd + 4 * nv + 4 * size.instances + 2 * size.wd + 2 * size.wv;
+        let mut builder = StoreBuilder {
+            statics,
+            rank,
+            ids: Slab(Vec::with_capacity(ids)),
+            weights: Slab(Vec::with_capacity(nd + nv)),
+            words: Slab(Vec::with_capacity(size.words)),
+        };
+        let out = fill(&mut builder);
+        let store = IrStore {
+            ids: builder.ids.0.into_boxed_slice(),
+            weights: builder.weights.0.into_boxed_slice(),
+            words: builder.words.0.into_boxed_slice(),
+        };
+        (Arc::new(store), out)
     }
-    (offsets, data)
 }
 
-/// Packed rows of a CSR array with columns in `0..cols`.
-fn packed(offsets: &[u32], data: &[u32], cols: usize) -> BitMatrix {
-    let row = |r: usize| csr_row(offsets, data, r).iter().map(|&c| c as usize);
-    BitMatrix::from_rows(offsets.len() - 1, cols, (0..offsets.len() - 1).map(row))
+/// One slab being filled from the front.
+struct Slab<T>(Vec<T>);
+
+impl<T: Copy + Default> Slab<T> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Take the next `n` entries, zeroed.
+    fn claim(&mut self, n: usize) -> Span {
+        let start = self.0.len();
+        self.0.resize(start + n, T::default());
+        Span::new(start, self.0.len())
+    }
+
+    /// Append `items`.
+    fn extend(&mut self, items: impl IntoIterator<Item = T>) -> Span {
+        let start = self.0.len();
+        self.0.extend(items);
+        Span::new(start, self.0.len())
+    }
+
+    /// Append a copy of `items`.
+    fn extend_from_slice(&mut self, items: &[T]) -> Span {
+        let start = self.0.len();
+        self.0.extend_from_slice(items);
+        Span::new(start, self.0.len())
+    }
+}
+
+/// Fills an [`IrStore`] with one instance per [`push`](Self::push), each
+/// array appended to its slab in turn.
+pub(crate) struct StoreBuilder<'a> {
+    statics: &'a StaticLayer,
+    /// uid → dense base index within the instance being pushed
+    /// ([`NO_RANK`] for non-candidates); only the entries of uids on its
+    /// witness paths are read.
+    rank: &'a [u32],
+    ids: Slab<u32>,
+    weights: Slab<f64>,
+    words: Slab<u64>,
+}
+
+impl StoreBuilder<'_> {
+    /// Append one instance over ascending candidate uids, demand layout
+    /// indices and vulnerable layout indices: CSR adjacency in both
+    /// directions, `k_s`, the bottom-up demand order, weights and packed
+    /// rows. Rows are appended in order and their transposes built by
+    /// counting, so the cost is linear in the active entries.
+    pub(crate) fn push(&mut self, bases: &[u32], demands: &[u32], vulnerable: &[u32]) -> Layout {
+        let statics = self.statics;
+        let nb = bases.len();
+        let base_uids = self.ids.extend_from_slice(bases);
+        let demand_idx = self.ids.extend_from_slice(demands);
+        let vulnerable_idx = self.ids.extend_from_slice(vulnerable);
+
+        // demand → bases and vulnerable → candidate witnesses
+        // (`ws(s) ∩ 𝒞`), each with its transpose: base → demands and
+        // base → vulnerable (the red incidence). Every demand witness is
+        // a candidate by definition, so demand rows drop nothing.
+        let path_len = |&i: &u32| statics.path_uids(i as usize).len();
+        let demand = self.witness_rows(demands);
+        debug_assert_eq!(demand.data.len(), demands.iter().map(path_len).sum());
+        let hit = self.transpose(demand, nb);
+        let vulnerable_rows = self.witness_rows(vulnerable);
+        let incidence = self.transpose(vulnerable_rows, nb);
+        let vulnerable_k = self
+            .ids
+            .extend(vulnerable.iter().map(|i| path_len(i) as u32));
+
+        // Bottom-up demand order: decreasing depth of each witness path's
+        // shallowest vertex (its top / LCA) in the data-dual forest. The
+        // sort is stable and dense order is `ViewTupleId` order, so ties
+        // and the non-forest fallback stay in ascending id order.
+        let demand_order = self.ids.extend(0..demands.len() as u32);
+        if let Some(depths) = &statics.top_depth {
+            let order = demand_order.of_mut(&mut self.ids.0);
+            order.sort_by_key(|&d| std::cmp::Reverse(depths[demands[d as usize] as usize]));
+        }
+
+        let weight = |&i: &u32| statics.all_weights[i as usize];
+        Layout {
+            base_uids,
+            demand_idx,
+            vulnerable_idx,
+            demand_weights: self.weights.extend(demands.iter().map(weight)),
+            vulnerable_weights: self.weights.extend(vulnerable.iter().map(weight)),
+            // Packed bitset rows share the dense base universe with the
+            // CSR rows; solvers intersect them against deletion masks.
+            witness_masks: self.packed(demand, nb),
+            vulnerable_masks: self.packed(vulnerable_rows, nb),
+            demand,
+            hit,
+            vulnerable: vulnerable_rows,
+            incidence,
+            vulnerable_k,
+            demand_order,
+        }
+    }
+
+    /// CSR rows of the candidate witnesses of the view tuples at layout
+    /// indices `idx`: each witness path's uids through `rank`,
+    /// non-candidates ([`NO_RANK`]) dropped. Rows ascend, because `rank`
+    /// is monotone.
+    fn witness_rows(&mut self, idx: &[u32]) -> Csr {
+        let (statics, rank) = (self.statics, self.rank);
+        let offsets = self.ids.claim(idx.len() + 1);
+        let data = self.ids.len();
+        for (k, &i) in idx.iter().enumerate() {
+            let ranks = statics.path_uids(i as usize).iter();
+            self.ids
+                .extend(ranks.map(|&u| rank[u as usize]).filter(|&b| b != NO_RANK));
+            self.ids.0[offsets.start as usize + k + 1] = (self.ids.len() - data) as u32;
+        }
+        Csr {
+            offsets,
+            data: Span::new(data, self.ids.len()),
+        }
+    }
+
+    /// Append the transpose of `src`, whose columns lie in `0..cols`.
+    fn transpose(&mut self, src: Csr, cols: usize) -> Csr {
+        let offsets = self.ids.claim(cols + 1);
+        let data = self.ids.claim(src.data.len());
+        let (built, out) = self.ids.0.split_at_mut(offsets.start as usize);
+        let (offsets_out, data_out) = out.split_at_mut(cols + 1);
+        let (src_offsets, src_data) = (src.offsets.of(built), src.data.of(built));
+        transpose_into(
+            src_offsets,
+            src_data,
+            offsets_out,
+            &mut data_out[..data.len()],
+        );
+        Csr { offsets, data }
+    }
+
+    /// Append the packed rows of `rows`, whose columns lie in `0..cols`.
+    fn packed(&mut self, rows: Csr, cols: usize) -> Span {
+        let (per_row, n) = (cols.div_ceil(64), rows.offsets.len() - 1);
+        let (offsets, data) = (rows.offsets.of(&self.ids.0), rows.data.of(&self.ids.0));
+        let span = self.words.claim(n * per_row);
+        let out = span.of_mut(&mut self.words.0);
+        for r in 0..n {
+            let row = &mut out[r * per_row..(r + 1) * per_row];
+            for &c in csr_row(offsets, data, r) {
+                row[c as usize / 64] |= 1u64 << (c % 64);
+            }
+        }
+        span
+    }
 }
 
 impl CompiledInstance {
@@ -467,16 +715,16 @@ impl CompiledInstance {
         ir
     }
 
-    /// Assemble the `O(active)` half of the IR onto a static layer: CSR
-    /// adjacency in both directions, packed bitset rows, weights, the ΔV
-    /// flags, and the bottom-up demand order. This is the single
-    /// construction path for cold compiles, the engine's incremental
-    /// projections and the shard partitioner.
+    /// Assemble the `O(active)` half of the IR onto a static layer into a
+    /// store of its own: CSR adjacency in both directions, packed bitset
+    /// rows, weights and the bottom-up demand order. This is the single
+    /// construction path for cold compiles and the engine's incremental
+    /// projections; the shard partitioner pushes every component through
+    /// the same [`StoreBuilder`] into one shared store.
     ///
     /// `rank` maps a uid to its dense base index ([`NO_RANK`] for
     /// non-candidates); only the entries of uids on the witness paths of
-    /// `parts` are read. Rows are appended in order and their transposes
-    /// built by counting, so the cost is linear in the active entries.
+    /// `parts` are read.
     pub(crate) fn assemble(
         statics: Arc<StaticLayer>,
         parts: ActiveParts,
@@ -484,61 +732,40 @@ impl CompiledInstance {
         generation: u64,
     ) -> CompiledInstance {
         let ActiveParts {
-            bases: base_uids,
-            demands: demand_idx,
-            vulnerable: vulnerable_idx,
+            bases,
+            demands,
+            vulnerable,
         } = parts;
-        let nb = base_uids.len();
-        let weight = |&i: &u32| statics.all_weights[i as usize];
-
-        // demand → bases and vulnerable → candidate witnesses
-        // (`ws(s) ∩ 𝒞`), each with its transpose: base → demands and
-        // base → vulnerable (the red incidence). Every demand witness is
-        // a candidate by definition, so demand rows drop nothing.
         let path_len = |&i: &u32| statics.path_uids(i as usize).len();
-        let (demand_offsets, demand_witnesses) = witness_rows(&statics, &demand_idx, rank);
-        debug_assert_eq!(
-            demand_witnesses.len(),
-            demand_idx.iter().map(path_len).sum()
-        );
-        let (hit_offsets, hit_demands) = transpose(&demand_offsets, &demand_witnesses, nb);
-        let (vulnerable_offsets, vulnerable_witnesses) =
-            witness_rows(&statics, &vulnerable_idx, rank);
-        let (incidence_offsets, incidence) =
-            transpose(&vulnerable_offsets, &vulnerable_witnesses, nb);
+        let words = bases.len().div_ceil(64) * (demands.len() + vulnerable.len());
+        let size = StoreSize {
+            instances: 1,
+            nb: bases.len(),
+            nd: demands.len(),
+            nv: vulnerable.len(),
+            wd: demands.iter().map(path_len).sum(),
+            // An upper bound: non-candidate witnesses drop out, and
+            // boxing the slab trims the slack.
+            wv: vulnerable.iter().map(path_len).sum(),
+            words,
+        };
+        let (store, layout) = IrStore::build(&statics, rank, size, |builder| {
+            builder.push(&bases, &demands, &vulnerable)
+        });
+        CompiledInstance::in_store(store, layout, statics, generation)
+    }
 
-        // Bottom-up demand order: decreasing depth of each witness path's
-        // shallowest vertex (its top / LCA) in the data-dual forest. The
-        // sort is stable and dense order is `ViewTupleId` order, so ties
-        // and the non-forest fallback stay in ascending id order.
-        let mut demand_order: Vec<u32> = (0..demand_idx.len() as u32).collect();
-        if let Some(depths) = &statics.top_depth {
-            demand_order
-                .sort_by_key(|&d| std::cmp::Reverse(depths[demand_idx[d as usize] as usize]));
-        }
-
+    /// The instance at `layout` of `store`.
+    pub(crate) fn in_store(
+        store: Arc<IrStore>,
+        layout: Layout,
+        statics: Arc<StaticLayer>,
+        generation: u64,
+    ) -> CompiledInstance {
         CompiledInstance {
-            demand_weights: demand_idx.iter().map(weight).collect(),
-            vulnerable_weights: vulnerable_idx.iter().map(weight).collect(),
-            // Packed bitset rows share the dense base universe with the
-            // CSR rows; solvers intersect them against deletion masks.
-            witness_masks: packed(&demand_offsets, &demand_witnesses, nb),
-            vulnerable_masks: packed(&vulnerable_offsets, &vulnerable_witnesses, nb),
-            demand_offsets,
-            demand_witnesses,
-            incidence_offsets,
-            incidence,
-            hit_offsets,
-            hit_demands,
-            vulnerable_offsets,
-            vulnerable_witnesses,
-            vulnerable_k: vulnerable_idx.iter().map(|i| path_len(i) as u32).collect(),
-            deleted: BitSet::from_indices(statics.norm_v, demand_idx.iter().map(|&i| i as usize)),
+            store,
+            layout,
             statics,
-            base_uids,
-            demand_idx,
-            vulnerable_idx,
-            demand_order,
             generation,
         }
     }
@@ -598,23 +825,117 @@ impl CompiledInstance {
         Self::assemble(Arc::new(statics), parts, &rank, 0)
     }
 
+    // ---- store ranges ----
+
+    /// The ids-slab array at `span`.
+    fn ids(&self, span: Span) -> &[u32] {
+        span.of(&self.store.ids)
+    }
+
+    /// A CSR array of the ids slab, resolved.
+    fn rows(&self, csr: Csr) -> Rows<'_> {
+        Rows {
+            offsets: self.ids(csr.offsets),
+            data: self.ids(csr.data),
+        }
+    }
+
+    /// Packed rows of the words slab, resolved.
+    fn masks(&self, span: Span) -> MaskRows<'_> {
+        MaskRows {
+            words: span.of(&self.store.words),
+            per_row: self.base_words(),
+        }
+    }
+
+    /// Demand rows, resolved once for a loop (see [`Self::demand_row`]).
+    pub(crate) fn demand_rows(&self) -> Rows<'_> {
+        self.rows(self.layout.demand)
+    }
+
+    /// Hit rows, resolved once for a loop (see [`Self::hit_row`]).
+    pub(crate) fn hit_rows(&self) -> Rows<'_> {
+        self.rows(self.layout.hit)
+    }
+
+    /// Vulnerable rows, resolved once for a loop (see
+    /// [`Self::vulnerable_row`]).
+    pub(crate) fn vulnerable_rows(&self) -> Rows<'_> {
+        self.rows(self.layout.vulnerable)
+    }
+
+    /// Incidence rows, resolved once for a loop (see
+    /// [`Self::incidence_row`]).
+    pub(crate) fn incidence_rows(&self) -> Rows<'_> {
+        self.rows(self.layout.incidence)
+    }
+
+    /// Packed witness rows, resolved once for a loop (see
+    /// [`Self::witness_mask_row`]).
+    pub(crate) fn witness_masks(&self) -> MaskRows<'_> {
+        self.masks(self.layout.witness_masks)
+    }
+
+    /// Packed vulnerable rows, resolved once for a loop (see
+    /// [`Self::vulnerable_mask_row`]).
+    pub(crate) fn vulnerable_masks(&self) -> MaskRows<'_> {
+        self.masks(self.layout.vulnerable_masks)
+    }
+
+    /// Every demand weight, by dense demand index.
+    pub(crate) fn demand_weights(&self) -> &[f64] {
+        self.layout.demand_weights.of(&self.store.weights)
+    }
+
+    /// Every vulnerable weight, by dense red index.
+    pub(crate) fn vulnerable_weights(&self) -> &[f64] {
+        self.layout.vulnerable_weights.of(&self.store.weights)
+    }
+
+    /// Every `k_s`, by dense red index.
+    pub(crate) fn vulnerable_ks(&self) -> &[u32] {
+        self.ids(self.layout.vulnerable_k)
+    }
+
+    /// Candidate base tuples as ascending uids.
+    pub(crate) fn base_uids(&self) -> &[u32] {
+        self.ids(self.layout.base_uids)
+    }
+
+    /// `ΔV` as ascending layout indices.
+    pub(crate) fn demand_idx(&self) -> &[u32] {
+        self.ids(self.layout.demand_idx)
+    }
+
+    /// Vulnerable preserved view tuples as ascending layout indices.
+    pub(crate) fn vulnerable_idx(&self) -> &[u32] {
+        self.ids(self.layout.vulnerable_idx)
+    }
+
+    /// Total entries of the demand rows and of the vulnerable rows.
+    pub(crate) fn witness_entries(&self) -> (usize, usize) {
+        let Layout {
+            demand, vulnerable, ..
+        } = self.layout;
+        (demand.data.len(), vulnerable.data.len())
+    }
+
     // ---- interning ----
 
     /// Candidate base tuples `𝒞`, sorted ascending.
     pub fn bases(&self) -> impl ExactSizeIterator<Item = TupleId> + '_ {
-        self.base_uids
-            .iter()
-            .map(|&u| self.statics.universe[u as usize])
+        let universe = &self.statics.universe;
+        self.base_uids().iter().map(|&u| universe[u as usize])
     }
 
     /// Number of candidate base tuples.
     pub fn num_bases(&self) -> usize {
-        self.base_uids.len()
+        self.layout.base_uids.len()
     }
 
     /// The base tuple behind dense index `b`.
     pub fn base(&self, b: u32) -> TupleId {
-        self.statics.universe[self.base_uids[b as usize] as usize]
+        self.statics.universe[self.base_uids()[b as usize] as usize]
     }
 
     /// Dense index of a base tuple, if it is a candidate (uid order is
@@ -622,39 +943,39 @@ impl CompiledInstance {
     pub fn base_index(&self, t: TupleId) -> Option<u32> {
         let universe = &self.statics.universe;
         let b = self
-            .base_uids
+            .base_uids()
             .binary_search_by(|&u| universe[u as usize].cmp(&t));
         b.ok().map(|b| b as u32)
     }
 
     /// `ΔV`, ascending.
     pub fn demands(&self) -> impl ExactSizeIterator<Item = ViewTupleId> + '_ {
-        self.view_ids(&self.demand_idx)
+        self.view_ids(self.demand_idx())
     }
 
     /// Number of demands `‖ΔV‖`.
     pub fn num_demands(&self) -> usize {
-        self.demand_idx.len()
+        self.layout.demand_idx.len()
     }
 
     /// The view tuple behind dense demand index `d`.
     pub fn demand(&self, d: u32) -> ViewTupleId {
-        self.statics.view_tuples[self.demand_idx[d as usize] as usize]
+        self.statics.view_tuples[self.demand_idx()[d as usize] as usize]
     }
 
     /// Vulnerable preserved view tuples, ascending.
     pub fn vulnerable(&self) -> impl ExactSizeIterator<Item = ViewTupleId> + '_ {
-        self.view_ids(&self.vulnerable_idx)
+        self.view_ids(self.vulnerable_idx())
     }
 
     /// Number of vulnerable preserved view tuples.
     pub fn num_vulnerable(&self) -> usize {
-        self.vulnerable_idx.len()
+        self.layout.vulnerable_idx.len()
     }
 
     /// The view tuple behind dense red index `r`.
     pub fn vulnerable_id(&self, r: u32) -> ViewTupleId {
-        self.statics.view_tuples[self.vulnerable_idx[r as usize] as usize]
+        self.statics.view_tuples[self.vulnerable_idx()[r as usize] as usize]
     }
 
     /// The view tuple ids at layout indices `idx`.
@@ -666,47 +987,43 @@ impl CompiledInstance {
 
     /// Weight of demand `d` (balanced objective's prize).
     pub fn demand_weight(&self, d: u32) -> f64 {
-        self.demand_weights[d as usize]
+        self.demand_weights()[d as usize]
     }
 
     /// Weight of vulnerable tuple `r` (side-effect contribution).
     pub fn vulnerable_weight(&self, r: u32) -> f64 {
-        self.vulnerable_weights[r as usize]
+        self.vulnerable_weights()[r as usize]
     }
 
     // ---- CSR rows ----
 
     /// Witness bases of demand `d` (sorted dense base indices).
     pub fn demand_row(&self, d: u32) -> &[u32] {
-        csr_row(&self.demand_offsets, &self.demand_witnesses, d as usize)
+        self.demand_rows().row(d)
     }
 
     /// Vulnerable view tuples incident to base `b` (sorted dense red
     /// indices). Its length is the **red degree** of `b` (Algorithm 2's
     /// threshold quantity).
     pub fn incidence_row(&self, b: u32) -> &[u32] {
-        csr_row(&self.incidence_offsets, &self.incidence, b as usize)
+        self.incidence_rows().row(b)
     }
 
     /// Demands whose witness set contains base `b` (sorted dense demand
     /// indices) — the blue rows of the Red-Blue image.
     pub fn hit_row(&self, b: u32) -> &[u32] {
-        csr_row(&self.hit_offsets, &self.hit_demands, b as usize)
+        self.hit_rows().row(b)
     }
 
     /// Candidate witnesses of vulnerable tuple `r` (`ws(s) ∩ 𝒞`).
     pub fn vulnerable_row(&self, r: u32) -> &[u32] {
-        csr_row(
-            &self.vulnerable_offsets,
-            &self.vulnerable_witnesses,
-            r as usize,
-        )
+        self.vulnerable_rows().row(r)
     }
 
     /// `k_s`: full witness-set size of vulnerable tuple `r` (including
     /// non-candidate witnesses).
     pub fn vulnerable_k(&self, r: u32) -> u32 {
-        self.vulnerable_k[r as usize]
+        self.vulnerable_ks()[r as usize]
     }
 
     /// Red degree of base `b`: number of vulnerable view tuples whose
@@ -727,9 +1044,10 @@ impl CompiledInstance {
         self.statics.all_weights[i]
     }
 
-    /// Whether the `i`-th view tuple is in `ΔV`.
+    /// Whether the `i`-th view tuple is in `ΔV` (a search of the
+    /// ascending demand layout indices: no flag words per instance).
     pub fn view_deleted(&self, i: usize) -> bool {
-        self.deleted.contains(i)
+        u32::try_from(i).is_ok_and(|i| self.demand_idx().binary_search(&i).is_ok())
     }
 
     /// Witness path of the `i`-th view tuple (layout order).
@@ -739,7 +1057,7 @@ impl CompiledInstance {
 
     /// Demand indices in bottom-up (decreasing top-depth) order.
     pub fn demand_order(&self) -> &[u32] {
-        &self.demand_order
+        self.ids(self.layout.demand_order)
     }
 
     /// The pivot-forest structure, when certified (§IV.E).
@@ -771,7 +1089,7 @@ impl CompiledInstance {
 
     /// `‖ΔV‖`.
     pub fn norm_delta(&self) -> usize {
-        self.demand_idx.len()
+        self.num_demands()
     }
 
     /// The problem mutation generation this IR was built against.
@@ -798,9 +1116,16 @@ impl CompiledInstance {
                 h.write_u64(id.index as u64);
             }
         }
+        let Layout {
+            demand,
+            hit,
+            vulnerable,
+            incidence,
+            ..
+        } = self.layout;
         for ws in [
-            &self.demand_weights,
-            &self.vulnerable_weights,
+            self.demand_weights(),
+            self.vulnerable_weights(),
             &self.statics.all_weights,
         ] {
             h.write_u64(ws.len() as u64);
@@ -809,16 +1134,16 @@ impl CompiledInstance {
             }
         }
         for csr in [
-            &self.demand_offsets,
-            &self.demand_witnesses,
-            &self.incidence_offsets,
-            &self.incidence,
-            &self.hit_offsets,
-            &self.hit_demands,
-            &self.vulnerable_offsets,
-            &self.vulnerable_witnesses,
-            &self.vulnerable_k,
-            &self.demand_order,
+            self.ids(demand.offsets),
+            self.ids(demand.data),
+            self.ids(incidence.offsets),
+            self.ids(incidence.data),
+            self.ids(hit.offsets),
+            self.ids(hit.data),
+            self.ids(vulnerable.offsets),
+            self.ids(vulnerable.data),
+            self.vulnerable_ks(),
+            self.demand_order(),
             &self.statics.path_offsets,
         ] {
             h.write_u64(csr.len() as u64);
@@ -830,16 +1155,16 @@ impl CompiledInstance {
             h.write_u64(t.relation.0 as u64);
             h.write_u64(t.index as u64);
         }
-        for mat in [&self.witness_masks, &self.vulnerable_masks] {
-            h.write_u64(mat.words_per_row() as u64);
-            for r in 0..mat.rows() {
-                for &w in mat.row(r) {
-                    h.write_u64(w);
-                }
+        for masks in [self.layout.witness_masks, self.layout.vulnerable_masks] {
+            h.write_u64(self.base_words() as u64);
+            for &w in masks.of(&self.store.words) {
+                h.write_u64(w);
             }
         }
-        for i in 0..self.statics.norm_v {
-            h.write_u64(self.deleted.contains(i) as u64);
+        // The ΔV flags, walked against the ascending demand indices.
+        let mut demand_idx = self.demand_idx().iter().peekable();
+        for i in 0..self.statics.norm_v as u32 {
+            h.write_u64(demand_idx.next_if_eq(&&i).is_some() as u64);
         }
         if let Some(depths) = &self.statics.top_depth {
             for &d in depths.iter() {
@@ -865,7 +1190,7 @@ impl CompiledInstance {
         h.write_u64(self.statics.l as u64);
         h.write_u64(self.statics.num_queries as u64);
         h.write_u64(self.statics.norm_v as u64);
-        h.write_u64(self.demand_idx.len() as u64);
+        h.write_u64(self.num_demands() as u64);
         h.finish()
     }
 
@@ -886,7 +1211,7 @@ impl CompiledInstance {
 
     /// Whether `mask` eliminates every demand.
     pub fn is_feasible_mask(&self, mask: &[bool]) -> bool {
-        (0..self.demand_idx.len() as u32).all(|d| self.eliminates(mask, d))
+        (0..self.num_demands() as u32).all(|d| self.eliminates(mask, d))
     }
 
     /// Side-effect of `mask`: total weight of vulnerable tuples losing a
@@ -894,7 +1219,7 @@ impl CompiledInstance {
     /// any solver emits), since non-candidate deletions damage only
     /// non-vulnerable tuples.
     pub fn side_effect_mask(&self, mask: &[bool]) -> f64 {
-        (0..self.vulnerable_idx.len() as u32)
+        (0..self.num_vulnerable() as u32)
             .filter(|&r| self.vulnerable_row(r).iter().any(|&b| mask[b as usize]))
             .map(|r| self.vulnerable_weight(r))
             .sum::<f64>()
@@ -903,7 +1228,7 @@ impl CompiledInstance {
 
     /// Balanced cost of `mask`: prizes of missed demands plus side-effect.
     pub fn balanced_cost_mask(&self, mask: &[bool]) -> f64 {
-        let missed: f64 = (0..self.demand_idx.len() as u32)
+        let missed: f64 = (0..self.num_demands() as u32)
             .filter(|&d| !self.eliminates(mask, d))
             .map(|d| self.demand_weight(d))
             .sum();
@@ -915,19 +1240,19 @@ impl CompiledInstance {
     /// Packed witness row of demand `d` over the base universe — the
     /// bitset twin of [`demand_row`](Self::demand_row).
     pub fn witness_mask_row(&self, d: u32) -> &[u64] {
-        self.witness_masks.row(d as usize)
+        self.witness_masks().row(d)
     }
 
     /// Packed candidate-witness row of vulnerable tuple `r` — the bitset
     /// twin of [`vulnerable_row`](Self::vulnerable_row).
     pub fn vulnerable_mask_row(&self, r: u32) -> &[u64] {
-        self.vulnerable_masks.row(r as usize)
+        self.vulnerable_masks().row(r)
     }
 
     /// Words per packed base row (`num_bases.div_ceil(64)`); every
     /// deletion [`BitSet`] over the base universe has this many words.
     pub fn base_words(&self) -> usize {
-        self.witness_masks.words_per_row()
+        self.num_bases().div_ceil(64)
     }
 
     /// Packed deletion mask over the candidate bases for `sol` (the bitset
@@ -952,7 +1277,8 @@ impl CompiledInstance {
 
     /// Whether the packed deletion mask eliminates every demand.
     pub fn is_feasible_bits(&self, deleted: &BitSet) -> bool {
-        (0..self.demand_idx.len() as u32).all(|d| self.eliminates_bits(deleted, d))
+        let masks = self.witness_masks();
+        (0..self.num_demands() as u32).all(|d| words::intersects(masks.row(d), deleted.words()))
     }
 
     /// Side-effect of a packed deletion mask. Identical sum order (and
@@ -960,18 +1286,20 @@ impl CompiledInstance {
     /// [`side_effect_mask`](Self::side_effect_mask): vulnerable indices
     /// ascending.
     pub fn side_effect_bits(&self, deleted: &BitSet) -> f64 {
-        (0..self.vulnerable_idx.len() as u32)
-            .filter(|&r| words::intersects(self.vulnerable_mask_row(r), deleted.words()))
-            .map(|r| self.vulnerable_weight(r))
+        let (masks, weights) = (self.vulnerable_masks(), self.vulnerable_weights());
+        (0..weights.len() as u32)
+            .filter(|&r| words::intersects(masks.row(r), deleted.words()))
+            .map(|r| weights[r as usize])
             .sum()
     }
 
     /// Balanced cost of a packed deletion mask — bit-identical to
     /// [`balanced_cost_mask`](Self::balanced_cost_mask) on the same mask.
     pub fn balanced_cost_bits(&self, deleted: &BitSet) -> f64 {
-        let missed: f64 = (0..self.demand_idx.len() as u32)
-            .filter(|&d| !self.eliminates_bits(deleted, d))
-            .map(|d| self.demand_weight(d))
+        let (masks, weights) = (self.witness_masks(), self.demand_weights());
+        let missed: f64 = (0..weights.len() as u32)
+            .filter(|&d| !words::intersects(masks.row(d), deleted.words()))
+            .map(|d| weights[d as usize])
             .sum();
         missed + self.side_effect_bits(deleted)
     }

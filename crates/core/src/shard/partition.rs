@@ -12,16 +12,19 @@
 //! global optimum is the sum of the per-component optima.
 //!
 //! The parent IR keeps its active sets in dense form (candidate uids,
-//! demand and vulnerable layout indices), so one pass per set groups
-//! them by component. Each shard re-projects its group onto the
-//! parent instance's **shared** `StaticLayer` (an `Arc` bump — no
-//! tuple, weight, or path copying) through the same
-//! `CompiledInstance::assemble` path the engine uses, with one uid →
-//! rank-within-component table for all shards: a shard's witness paths
-//! meet no other component's candidates, so no shard reads another
-//! shard's entries. A shard IR is therefore byte-identical to a cold
-//! compile of the instance with ΔV restricted to the shard's demands
-//! (asserted by `tests/shard_equivalence.rs`). The packed bitset
+//! demand and vulnerable layout indices), so one counting pass groups
+//! them by component, each group contiguous and ascending. Every shard
+//! is then pushed through the same store builder that
+//! `CompiledInstance::assemble` uses, into **one** store for the whole
+//! partition, over the parent's shared `StaticLayer` (an `Arc` bump — no
+//! tuple, weight, or path copying), with one uid → rank-within-component
+//! table for all shards: a shard's witness paths meet no other
+//! component's candidates, so no shard reads another shard's entries.
+//! A shard is an `Arc<CompiledInstance>` of ranges over that store, so
+//! a partition allocates one block per shard plus a constant (asserted
+//! by `tests/partition_alloc.rs`). A shard IR is byte-identical to a
+//! cold compile of the instance with ΔV restricted to the shard's
+//! demands (asserted by `tests/shard_equivalence.rs`). The packed bitset
 //! rows shrink quadratically: a full instance carries
 //! `‖ΔV‖ × ‖𝒞‖/64` words of witness masks, the shards together only
 //! `Σ_c ‖ΔV_c‖ × ‖𝒞_c‖/64`.
@@ -30,7 +33,7 @@
 //! the parent `Arc` itself (asserted by `tests/shard_equivalence.rs`),
 //! so the sharded path degenerates to the unsharded one at zero cost.
 
-use crate::ir::{ActiveParts, CompiledInstance, NO_RANK};
+use crate::ir::{CompiledInstance, IrStore, Layout, StoreSize, NO_RANK};
 use std::sync::Arc;
 
 /// Union-find over dense indices with path halving + union by rank.
@@ -110,9 +113,9 @@ pub struct Partition {
     pub orphan_vulnerable: usize,
 }
 
-/// Split `ir` into connected-component shards. `O(‖rows‖ α)` discovery
-/// plus one `assemble` per component; single-component instances return
-/// the parent `Arc` unchanged.
+/// Split `ir` into connected-component shards. `O(‖rows‖ α)` discovery,
+/// one grouping pass, and one store filled with every component;
+/// single-component instances return the parent `Arc` unchanged.
 pub fn partition(ir: &Arc<CompiledInstance>) -> Partition {
     crate::runtime::metrics::SHARD_PARTITIONS.inc();
     let nb = ir.num_bases();
@@ -126,13 +129,14 @@ pub fn partition(ir: &Arc<CompiledInstance>) -> Partition {
         };
     }
 
+    let (demand_rows, vulnerable_rows) = (ir.demand_rows(), ir.vulnerable_rows());
     let mut uf = UnionFind::new(nb);
     for d in 0..nd as u32 {
-        uf.union_row(ir.demand_row(d));
+        uf.union_row(demand_rows.row(d));
     }
     let mut orphan_vulnerable = 0usize;
     for r in 0..nv as u32 {
-        let row = ir.vulnerable_row(r);
+        let row = vulnerable_rows.row(r);
         if row.is_empty() {
             orphan_vulnerable += 1;
         } else {
@@ -162,36 +166,91 @@ pub fn partition(ir: &Arc<CompiledInstance>) -> Partition {
         };
     }
 
-    // Group the dense bases, demands and vulnerable tuples by component;
-    // every group stays ascending. One uid → rank-within-component table
+    // One counting pass groups the dense bases, demands and vulnerable
+    // tuples by component, each group ascending: `grouped` holds every
+    // base group, then every demand group, then every vulnerable group,
+    // and `starts[k]` the starts of component `k`'s three groups
+    // (`starts[k + 1]` their ends). One uid → rank-within-component table
     // serves every shard: by the partition invariant a shard's witness
     // paths meet no other component's candidates, so no shard reads
     // another's entries.
-    let statics = ir.statics_arc();
-    let mut rank = vec![NO_RANK; statics.universe.len()];
-    let mut groups: Vec<ActiveParts> = (0..comp_count).map(|_| ActiveParts::default()).collect();
-    for (b, &u) in ir.base_uids.iter().enumerate() {
-        let group = &mut groups[comp_of_base[b] as usize];
-        rank[u as usize] = group.bases.len() as u32;
-        group.bases.push(u);
+    let comps = comp_count as usize;
+    let comp_of_demand = |d: usize| comp_of_base[demand_rows.row(d as u32)[0] as usize] as usize;
+    let comp_of_vulnerable = |r: usize| {
+        let row = vulnerable_rows.row(r as u32);
+        row.first().map(|&b| comp_of_base[b as usize] as usize)
+    };
+    let mut starts = vec![[0u32; 3]; comps + 1];
+    for &k in &comp_of_base {
+        starts[k as usize][0] += 1;
     }
-    for (d, &i) in ir.demand_idx.iter().enumerate() {
-        let c = comp_of_base[ir.demand_row(d as u32)[0] as usize];
-        groups[c as usize].demands.push(i);
+    for d in 0..nd {
+        starts[comp_of_demand(d)][1] += 1;
     }
-    for (r, &i) in ir.vulnerable_idx.iter().enumerate() {
-        if let Some(&b) = ir.vulnerable_row(r as u32).first() {
-            groups[comp_of_base[b as usize] as usize].vulnerable.push(i);
+    for k in (0..nv).filter_map(comp_of_vulnerable) {
+        starts[k][2] += 1;
+    }
+    let mut words = 0;
+    let mut at = [0, nb as u32, (nb + nd) as u32];
+    for start in starts.iter_mut() {
+        let [bases, demands, vulnerable] = *start;
+        words += (bases as usize).div_ceil(64) * (demands + vulnerable) as usize;
+        for (s, n) in start.iter_mut().zip(&mut at) {
+            (*s, *n) = (*n, *n + *s);
         }
     }
 
-    // The shard's ΔV flags mark only its own demands: the shard IR
-    // describes the component as a self-contained instance.
+    let statics = ir.statics_arc();
+    let mut rank = vec![NO_RANK; statics.universe.len()];
+    let mut grouped = vec![0u32; at[2] as usize];
+    let mut next = starts.clone();
+    for (b, &u) in ir.base_uids().iter().enumerate() {
+        let k = comp_of_base[b] as usize;
+        rank[u as usize] = next[k][0] - starts[k][0];
+        grouped[next[k][0] as usize] = u;
+        next[k][0] += 1;
+    }
+    for (d, &i) in ir.demand_idx().iter().enumerate() {
+        let k = comp_of_demand(d);
+        grouped[next[k][1] as usize] = i;
+        next[k][1] += 1;
+    }
+    for (r, &i) in ir.vulnerable_idx().iter().enumerate() {
+        if let Some(k) = comp_of_vulnerable(r) {
+            grouped[next[k][2] as usize] = i;
+            next[k][2] += 1;
+        }
+    }
+
+    // Every shard goes into one store. A shard's rows stay those of its
+    // parent (only the base ranks change), so the witness totals carry
+    // over and the slabs are sized exactly. Each shard's demand indices
+    // are its ΔV: the shard IR describes the component as a
+    // self-contained instance.
+    let (wd, wv) = ir.witness_entries();
+    let size = StoreSize {
+        instances: comps,
+        nb,
+        nd,
+        nv: nv - orphan_vulnerable,
+        wd,
+        wv,
+        words,
+    };
+    let (store, layouts) = IrStore::build(&statics, &rank, size, |builder| {
+        (starts.iter().zip(&starts[1..]))
+            .map(|(start, end)| {
+                let group = |s: usize| &grouped[start[s] as usize..end[s] as usize];
+                builder.push(group(0), group(1), group(2))
+            })
+            .collect::<Vec<Layout>>()
+    });
     let generation = ir.generation();
-    let shards = groups
+    let shards = layouts
         .into_iter()
-        .map(|parts| {
-            let ir = CompiledInstance::assemble(Arc::clone(&statics), parts, &rank, generation);
+        .map(|layout| {
+            let (store, statics) = (Arc::clone(&store), Arc::clone(&statics));
+            let ir = CompiledInstance::in_store(store, layout, statics, generation);
             Shard { ir: Arc::new(ir) }
         })
         .collect();

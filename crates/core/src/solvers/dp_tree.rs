@@ -65,9 +65,11 @@ fn run(ir: &CompiledInstance, mode: Mode) -> Result<Solution, CoreError> {
     let mut red_at = vec![0.0f64; n]; // preserved weight ending here
     let mut blue_at = vec![0.0f64; n]; // demand weight ending here
     let mut blue_count_at = vec![0usize; n];
+    // The ΔV flags, walked against the ascending demand layout indices.
+    let mut demands = ir.demand_idx().iter().peekable();
     for (i, &endpoint) in pivot.endpoints.iter().enumerate() {
         let endpoint = endpoint as usize;
-        if ir.view_deleted(i) {
+        if demands.next_if_eq(&&(i as u32)).is_some() {
             blue_at[endpoint] += ir.view_weight(i);
             blue_count_at[endpoint] += 1;
         } else {

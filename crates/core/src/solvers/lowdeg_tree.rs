@@ -49,11 +49,10 @@ pub struct TreeAttempt {
 /// can ever be damaged, so restricting `counted` to them loses nothing.
 fn counted_bits(ir: &CompiledInstance) -> BitSet {
     let width_cutoff = (ir.norm_v() as f64).sqrt();
+    let ks = ir.vulnerable_ks();
     BitSet::from_indices(
-        ir.num_vulnerable(),
-        (0..ir.num_vulnerable() as u32)
-            .filter(|&r| (ir.vulnerable_k(r) as f64) <= width_cutoff)
-            .map(|r| r as usize),
+        ks.len(),
+        (0..ks.len()).filter(|&r| (ks[r] as f64) <= width_cutoff),
     )
 }
 
@@ -115,10 +114,12 @@ pub fn with_threshold(ir: &CompiledInstance, tau: usize) -> TreeAttempt {
 pub fn solve(ir: &CompiledInstance) -> Result<Solution, CoreError> {
     crate::runtime::metrics::SOLVE_LOWDEG_TREE.inc();
     let nb = ir.num_bases();
-    let max_degree = (0..nb as u32).map(|b| ir.red_degree(b)).max().unwrap_or(0);
+    let incidence = ir.incidence_rows();
+    let red_degree = |b: usize| incidence.row(b as u32).len();
+    let max_degree = (0..nb).map(red_degree).max().unwrap_or(0);
     let mut by_degree = BucketQueue::new(nb, max_degree);
     for b in 0..nb {
-        by_degree.push(b, ir.red_degree(b as u32));
+        by_degree.push(b, red_degree(b));
     }
     let counted = counted_bits(ir);
 

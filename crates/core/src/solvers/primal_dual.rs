@@ -102,15 +102,20 @@ pub fn solve(
     // Per-tuple capacity cap(t) = Σ_{counted preserved s ∋ t} w_s / k_s.
     // Only vulnerable tuples intersect the candidate set, so iterating
     // their candidate-restricted witness rows covers every contribution.
+    // Every IR array is resolved once here, not once per row.
     let nb = ir.num_bases();
+    let (ks, weights) = (ir.vulnerable_ks(), ir.vulnerable_weights());
+    let (vulnerable_rows, demand_rows, hit_rows) =
+        (ir.vulnerable_rows(), ir.demand_rows(), ir.hit_rows());
+    let witness_masks = ir.witness_masks();
     let mut cap = vec![0.0f64; nb];
     for r in 0..ir.num_vulnerable() as u32 {
         if !counted(r) {
             continue;
         }
-        let k = ir.vulnerable_k(r) as f64;
-        let share = ir.vulnerable_weight(r) / k;
-        for &b in ir.vulnerable_row(r) {
+        let k = ks[r as usize] as f64;
+        let share = weights[r as usize] / k;
+        for &b in vulnerable_rows.row(r) {
             cap[b as usize] += share;
         }
     }
@@ -141,10 +146,10 @@ pub fn solve(
     const EPS: f64 = 1e-9;
 
     for &d in order {
-        if words::intersects(ir.witness_mask_row(d), deleted_bits.words()) {
+        if words::intersects(witness_masks.row(d), deleted_bits.words()) {
             continue; // already cut
         }
-        let witnesses = ir.demand_row(d);
+        let witnesses = demand_rows.row(d);
         let mut raise = f64::INFINITY;
         let mut any_allowed = false;
         for &b in witnesses {
@@ -177,7 +182,7 @@ pub fn solve(
             }
         }
         debug_assert!(
-            words::intersects(ir.witness_mask_row(d), deleted_bits.words()),
+            words::intersects(witness_masks.row(d), deleted_bits.words()),
             "demand must be cut after its own iteration"
         );
     }
@@ -198,13 +203,13 @@ pub fn solve(
         });
     }
     let mut cut_count: Vec<usize> = (0..ir.num_demands() as u32)
-        .map(|d| words::intersection_count(ir.witness_mask_row(d), deleted_bits.words()))
+        .map(|d| words::intersection_count(witness_masks.row(d), deleted_bits.words()))
         .collect();
     for &b in deleted.iter().rev() {
-        let still_ok = ir.hit_row(b).iter().all(|&d| cut_count[d as usize] >= 2);
+        let still_ok = hit_rows.row(b).iter().all(|&d| cut_count[d as usize] >= 2);
         if still_ok {
             deleted_bits.remove(b as usize);
-            for &d in ir.hit_row(b) {
+            for &d in hit_rows.row(b) {
                 cut_count[d as usize] -= 1;
             }
         }
