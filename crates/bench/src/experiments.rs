@@ -1669,8 +1669,12 @@ pub fn ex_par() -> String {
 /// `Σ_c ‖ΔV_c‖×‖𝒞_c‖/64 ≈ 1/k` of that, so the win is algorithmic and
 /// survives single-core CI boxes. Gate (scale 1 only): per-copy-count
 /// speedup ≥ max(2, k/2), and the merged certified cost must match the
-/// unsharded deterministic chain on the full instance to 1e-9. Raw rows
-/// land in `artifacts/BENCH_shard.json` (`shard_speedup` is
+/// unsharded deterministic chain on the full instance to 1e-9. Each
+/// sharded time is the minimum of 9 solves of one IR, and the IR keeps
+/// its partition after the first, so the minimum times the warm
+/// partition: the daemon's steady state, where every request of an
+/// epoch shares one IR. Raw rows land in
+/// `artifacts/BENCH_shard.json` (`shard_speedup` is
 /// LowerIsWorse-gated against `baselines/`; the racing cost and winner
 /// are display-only — the racing portfolio is a scheduler lottery, and
 /// a different member may legitimately win it on every run).

@@ -39,13 +39,14 @@
 
 use crate::problem::Problem;
 use crate::runtime::metrics;
+use crate::shard::partition::Components;
 use crate::solution::Solution;
 use delprop_hypergraph::{find_pivot_structure, DataDualGraph, DualHypergraph};
 use delprop_query::ViewTupleId;
 use delprop_relation::TupleId;
 use delprop_setcover::kernel::words;
 use delprop_setcover::BitSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Number of [`CompiledInstance::compile`] calls so far in this process
 /// — the `ir.compiles` metric, kept for the `EX-IR` experiment's
@@ -307,6 +308,10 @@ pub(crate) struct ActiveParts {
 /// The instance owns no arrays of its own: it is a `Layout` of ranges
 /// into an `IrStore`, shared by `Arc` with every other instance built
 /// into the same store (the shards of one partition).
+///
+/// It keeps its component partition once a sharded solve has asked for
+/// it ([`crate::shard::cached_partition`]), the way [`Problem`] keeps its
+/// compile.
 #[derive(Debug, Clone)]
 pub struct CompiledInstance {
     /// The flat slabs every range of `layout` points into.
@@ -322,6 +327,10 @@ pub struct CompiledInstance {
     /// against (see [`Problem::generation`]); checked by
     /// [`Problem::verify_compiled`] to reject stale IR/problem pairings.
     generation: u64,
+    /// The component partition, built by the first sharded solve of this
+    /// instance and dropped with it (DESIGN.md §15). Boxed, so a shard
+    /// handle stays small.
+    components: OnceLock<Box<Components>>,
 }
 
 /// The arrays of one or more compiled instances, one slab per element
@@ -767,7 +776,18 @@ impl CompiledInstance {
             layout,
             statics,
             generation,
+            components: OnceLock::new(),
         }
+    }
+
+    /// This instance's component partition: built on first use and kept
+    /// until the instance is dropped, so every sharded solve of one IR
+    /// shares one partition. Only a sharded solve (or
+    /// [`crate::shard::cached_partition`]) asks for it; a compile, an
+    /// engine projection or a publish never does.
+    pub(crate) fn components(&self) -> &Components {
+        self.components
+            .get_or_init(|| Box::new(crate::shard::partition::split(self)))
     }
 
     /// The shared ΔV-independent layer, for re-projection onto a
@@ -1260,6 +1280,20 @@ impl CompiledInstance {
     /// have no bit).
     pub fn base_bits(&self, sol: &Solution) -> BitSet {
         self.tuple_bits(sol.deleted.iter().copied())
+    }
+
+    /// Every tuple of `sol` with its dense base index (`None` for a
+    /// non-candidate), ascending: one merge of the two ascending
+    /// sequences, no search per tuple.
+    pub(crate) fn base_indices<'a>(
+        &'a self,
+        sol: &'a Solution,
+    ) -> impl Iterator<Item = (TupleId, Option<u32>)> + 'a {
+        let mut bases = self.bases().zip(0u32..).peekable();
+        sol.deleted.iter().map(move |&t| {
+            while bases.next_if(|&(base, _)| base < t).is_some() {}
+            (t, bases.next_if(|&(base, _)| base == t).map(|(_, b)| b))
+        })
     }
 
     /// Packed base-index set for the given tuples (non-candidates are

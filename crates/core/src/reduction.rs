@@ -44,22 +44,20 @@ impl VseAsRedBlue {
 /// Reduce a (standard, weighted) view-side-effect instance to Red-Blue Set
 /// Cover over the candidate tuples.
 pub fn to_redblue(ir: &CompiledInstance) -> VseAsRedBlue {
+    let (incidence, hit) = (ir.incidence_rows(), ir.hit_rows());
     let sets: Vec<CoverSet> = (0..ir.num_bases() as u32)
         .map(|b| {
             CoverSet::from_sorted(
-                ir.incidence_row(b).iter().map(|&r| r as usize).collect(),
-                ir.hit_row(b).iter().map(|&d| d as usize).collect(),
+                incidence.row(b).iter().map(|&r| r as usize).collect(),
+                hit.row(b).iter().map(|&d| d as usize).collect(),
             )
         })
-        .collect();
-    let red_weights: Vec<f64> = (0..ir.num_vulnerable() as u32)
-        .map(|r| ir.vulnerable_weight(r))
         .collect();
     VseAsRedBlue {
         instance: RedBlueInstance::with_weights(
             ir.num_vulnerable(),
             ir.num_demands(),
-            red_weights,
+            ir.vulnerable_weights().to_vec(),
             sets,
         ),
         tuples: ir.bases().collect(),
@@ -90,22 +88,18 @@ impl BalancedAsPosNeg {
 
 /// Reduce a (weighted) balanced instance to Pos-Neg Partial Set Cover.
 pub fn to_posneg(ir: &CompiledInstance) -> BalancedAsPosNeg {
+    let (hit, incidence) = (ir.hit_rows(), ir.incidence_rows());
     let sets: Vec<PnSet> = (0..ir.num_bases() as u32)
         .map(|b| {
             PnSet::from_sorted(
-                ir.hit_row(b).iter().map(|&d| d as usize).collect(),
-                ir.incidence_row(b).iter().map(|&r| r as usize).collect(),
+                hit.row(b).iter().map(|&d| d as usize).collect(),
+                incidence.row(b).iter().map(|&r| r as usize).collect(),
             )
         })
         .collect();
-    let pos_weights: Vec<f64> = (0..ir.num_demands() as u32)
-        .map(|d| ir.demand_weight(d))
-        .collect();
-    let neg_weights: Vec<f64> = (0..ir.num_vulnerable() as u32)
-        .map(|r| ir.vulnerable_weight(r))
-        .collect();
+    let (pos_weights, neg_weights) = (ir.demand_weights(), ir.vulnerable_weights());
     BalancedAsPosNeg {
-        instance: PosNegInstance::with_weights(pos_weights, neg_weights, sets),
+        instance: PosNegInstance::with_weights(pos_weights.to_vec(), neg_weights.to_vec(), sets),
         tuples: ir.bases().collect(),
         pos_ids: ir.demands().collect(),
         neg_ids: ir.vulnerable().collect(),

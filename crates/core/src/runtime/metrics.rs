@@ -208,7 +208,11 @@ pub static SOLVE_LOCAL_SEARCH: Counter = Counter::new("solve.local_search");
 /// See [`SOLVE_SINGLE_QUERY`].
 pub static SOLVE_SOURCE: Counter = Counter::new("solve.source");
 
-/// Component partitions computed over compiled instances.
+/// Component partitions built over compiled instances: every fresh
+/// `shard::partition`, plus the one partition each instance caches
+/// (built by its first sharded solve). Later sharded solves of the
+/// same instance reuse the cached one and do not count, so this is not
+/// a count of sharded solves.
 pub static SHARD_PARTITIONS: Counter = Counter::new("shard.partitions");
 /// Per-shard chain runs executed.
 pub static SHARD_SOLVES: Counter = Counter::new("shard.solves");

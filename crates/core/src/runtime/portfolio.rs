@@ -565,7 +565,7 @@ impl Portfolio {
         let handle = budget.share_labeled("sharded");
         let mut merged = Guarantee::Heuristic;
         let mut slot = metered("sharded", merged, &handle, || {
-            let out = crate::shard::solve_sharded_with(self, &problem.compiled_arc(), &handle);
+            let out = crate::shard::solve_sharded_with(self, problem.compiled(), &handle);
             match out {
                 Ok(out) => {
                     merged = out.guarantee;
@@ -645,23 +645,29 @@ impl Portfolio {
         }
         let verify_start = top_level.then(now);
         let standard = self.objective == Objective::Standard;
-        let verified = panic::catch_unwind(AssertUnwindSafe(|| {
-            let feasible = match check {
-                Check::Problem(problem) => solution.is_feasible(problem),
-                Check::Shard(ir) => ir.is_feasible_of(&solution),
-            };
-            (!standard || feasible).then(|| match check {
-                Check::Problem(problem) => {
+        let verified = panic::catch_unwind(AssertUnwindSafe(|| match check {
+            Check::Problem(problem) => {
+                let feasible = solution.is_feasible(problem);
+                (!standard || feasible).then(|| {
                     let side_effect = solution.verify_by_reevaluation(problem);
                     if standard {
                         side_effect
                     } else {
                         solution.balanced_cost(problem)
                     }
-                }
-                Check::Shard(ir) if standard => ir.side_effect_of(&solution),
-                Check::Shard(ir) => ir.balanced_cost_of(&solution),
-            })
+                })
+            }
+            // One deletion mask serves the feasibility check and the cost.
+            Check::Shard(ir) => {
+                let bits = ir.base_bits(&solution);
+                (!standard || ir.is_feasible_bits(&bits)).then(|| {
+                    if standard {
+                        ir.side_effect_bits(&bits)
+                    } else {
+                        ir.balanced_cost_bits(&bits)
+                    }
+                })
+            }
         }));
         if let Some(start) = verify_start {
             metrics::VERIFY_MICROS.observe(start.elapsed().as_micros() as u64);

@@ -12,6 +12,11 @@
 //! into a `max_c α_c`-approximation — the merged [`Guarantee`] is the
 //! *weakest* per-shard guarantee, by [`Guarantee::strength`].
 //!
+//! An IR keeps its partition ([`cached_partition`]): the first sharded
+//! solve of an instance builds it, and every later sharded solve of the
+//! same instance reuses its shards and their parent base indices, which
+//! the merge uses to build the union's deletion mask directly.
+//!
 //! The per-shard chain is the portfolio's own chain: each shard runs
 //! [`Portfolio::solve_sharded`]'s members first-verified-wins, in chain
 //! order, restricted to the [shard-local](crate::runtime::Solver::shard_local)
@@ -35,7 +40,7 @@
 pub mod partition;
 pub mod scheduler;
 
-pub use partition::{partition, Partition, Shard, UnionFind};
+pub use partition::{cached_partition, partition, Partition, Shard, UnionFind};
 pub use scheduler::run_tasks;
 
 use crate::error::CoreError;
@@ -45,7 +50,8 @@ use crate::runtime::sync;
 use crate::runtime::{Budget, Guarantee, Portfolio};
 use crate::solution::Solution;
 use crate::solvers::local_search::Objective;
-use std::sync::Arc;
+use delprop_setcover::BitSet;
+use partition::Components;
 use std::sync::Mutex;
 
 /// A certified (or degraded) outcome for one shard.
@@ -170,7 +176,7 @@ fn component(
 /// sum. Feasibility of the merged solution is re-checked on the full
 /// instance as a cheap final guard on the partition invariant.
 pub fn solve_sharded_ir(
-    ir: &Arc<CompiledInstance>,
+    ir: &CompiledInstance,
     objective: Objective,
     budget: &Budget,
 ) -> Result<ShardedOutcome, CoreError> {
@@ -181,13 +187,18 @@ pub fn solve_sharded_ir(
 /// its [shard-local](crate::runtime::Solver::shard_local) members in
 /// chain order, first verified wins. [`Portfolio::solve_sharded`] is
 /// this plus the compile charge and a one-member report.
+///
+/// The partition is the one `ir` keeps ([`cached_partition`]): the first
+/// sharded solve of an IR builds it, and every later solve of the same
+/// IR reuses its shards. The merge sets the merged deletion mask
+/// straight from each shard's parent base indices.
 pub fn solve_sharded_with(
     portfolio: &Portfolio,
-    ir: &Arc<CompiledInstance>,
+    ir: &CompiledInstance,
     budget: &Budget,
 ) -> Result<ShardedOutcome, CoreError> {
-    let part = partition::partition(ir);
-    let k = part.shards.len();
+    let components = ir.components();
+    let k = components.len();
     if k == 0 {
         return Ok(ShardedOutcome {
             solution: Solution::empty(),
@@ -204,7 +215,7 @@ pub fn solve_sharded_with(
     let workers = sync::available_parallelism().min(k);
     scheduler::run_tasks(k, workers, |t| {
         let handle = budget.share_labeled("shard");
-        let result = component(portfolio, &part.shards[t].ir, &handle);
+        let result = component(portfolio, components.shard(ir, t), &handle);
         *slots[t].lock().unwrap() = Some(result);
     });
 
@@ -216,24 +227,46 @@ pub fn solve_sharded_with(
             .expect("the scheduler runs every shard task exactly once");
         per_shard.push(result?);
     }
-    merge_shards(ir, per_shard, portfolio.objective())
+    merge_shards(ir, components, per_shard, portfolio.objective())
 }
 
 /// Merge certified per-shard outcomes into one [`ShardedOutcome`]:
 /// union the solutions, re-evaluate cost and feasibility on the full
 /// instance, and label the weakest per-shard guarantee.
+///
+/// The union is built as the parent's deletion mask: each shard
+/// solution's tuples are matched against the shard's ascending bases,
+/// and a shard base index maps to its parent index through the
+/// components' table. A tuple that is no candidate of its shard (no
+/// built-in member emits one) is searched in the parent, and kept
+/// aside if it is no candidate there either, so the merged solution is
+/// exactly the union of the shard solutions.
 fn merge_shards(
     ir: &CompiledInstance,
+    components: &Components,
     per_shard: Vec<ShardSolve>,
     objective: Objective,
 ) -> Result<ShardedOutcome, CoreError> {
     let k = per_shard.len();
-    let mut merged = Solution::empty();
-    for s in &per_shard {
-        merged.deleted.extend(s.solution.deleted.iter().copied());
+    let mut bits = BitSet::new(ir.num_bases());
+    let mut non_candidates = Vec::new();
+    let mut first_base = 0;
+    for (t, s) in per_shard.iter().enumerate() {
+        let shard = components.shard(ir, t);
+        for (tuple, b) in shard.base_indices(&s.solution) {
+            let parent = b.map(|b| components.parent_base(first_base + b as usize));
+            match parent.or_else(|| ir.base_index(tuple)) {
+                Some(b) => {
+                    bits.insert(b as usize);
+                }
+                None => non_candidates.push(tuple),
+            }
+        }
+        first_base += shard.num_bases();
     }
+    let candidates = bits.iter().map(|b| ir.base(b as u32));
+    let merged = Solution::from_tuples(candidates.chain(non_candidates));
 
-    let bits = ir.base_bits(&merged);
     let cost = match objective {
         Objective::Standard => ir.side_effect_bits(&bits),
         Objective::Balanced => ir.balanced_cost_bits(&bits),

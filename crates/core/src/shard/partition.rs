@@ -113,20 +113,100 @@ pub struct Partition {
     pub orphan_vulnerable: usize,
 }
 
-/// Split `ir` into connected-component shards. `O(‖rows‖ α)` discovery,
-/// one grouping pass, and one store filled with every component;
-/// single-component instances return the parent `Arc` unchanged.
+/// Split `ir` into connected-component shards, built afresh. `O(‖rows‖
+/// α)` discovery, one grouping pass, and one store filled with every
+/// component; single-component instances return the parent `Arc`
+/// unchanged. [`cached_partition`] returns the partition `ir` keeps.
 pub fn partition(ir: &Arc<CompiledInstance>) -> Partition {
+    split(ir).into_partition(ir)
+}
+
+/// The partition `ir` keeps for its lifetime: built on the first call
+/// (or the first sharded solve) of this IR, and every later call hands
+/// out the same shard `Arc`s. Single-component instances return the
+/// parent `Arc`, as [`partition()`] does.
+pub fn cached_partition(ir: &Arc<CompiledInstance>) -> Partition {
+    ir.components().clone().into_partition(ir)
+}
+
+/// A partition in the form its parent IR caches it
+/// ([`CompiledInstance::components`]): the shards and where each shard's
+/// bases sit in the parent. It holds no handle to the parent, so a
+/// single-component parent, which is its own only shard, is a flag and
+/// not an `Arc` (an IR that held its own `Arc` would never be freed).
+#[derive(Debug, Clone)]
+pub(crate) struct Components {
+    /// The component shards, ordered by their smallest base tuple;
+    /// empty when the parent has no demands or is `whole`.
+    shards: Vec<Arc<CompiledInstance>>,
+    /// Whether the parent is one component.
+    whole: bool,
+    /// The parent's dense index of every shard base, shard after shard,
+    /// each shard's run ascending; empty unless split into `shards`.
+    parent_bases: Box<[u32]>,
+    /// See [`Partition::orphan_vulnerable`].
+    orphan_vulnerable: usize,
+}
+
+impl Components {
+    /// Number of shards.
+    pub(crate) fn len(&self) -> usize {
+        self.shards.len() + usize::from(self.whole)
+    }
+
+    /// Shard `k` of `parent`, the IR these components were built from.
+    pub(crate) fn shard<'a>(
+        &'a self,
+        parent: &'a CompiledInstance,
+        k: usize,
+    ) -> &'a CompiledInstance {
+        if self.whole {
+            parent
+        } else {
+            &self.shards[k]
+        }
+    }
+
+    /// The parent's dense index of the base at position `at` of the
+    /// shard-after-shard order: shard `k`'s base `b` sits at `b` plus
+    /// the base counts of the shards before `k`.
+    pub(crate) fn parent_base(&self, at: usize) -> u32 {
+        if self.whole {
+            at as u32
+        } else {
+            self.parent_bases[at]
+        }
+    }
+
+    /// The public form, over `parent`'s own `Arc`.
+    fn into_partition(self, parent: &Arc<CompiledInstance>) -> Partition {
+        let shards = if self.whole {
+            vec![Arc::clone(parent)]
+        } else {
+            self.shards
+        };
+        Partition {
+            shards: shards.into_iter().map(|ir| Shard { ir }).collect(),
+            orphan_vulnerable: self.orphan_vulnerable,
+        }
+    }
+}
+
+/// Build `ir`'s components: the body of [`partition()`].
+pub(crate) fn split(ir: &CompiledInstance) -> Components {
     crate::runtime::metrics::SHARD_PARTITIONS.inc();
     let nb = ir.num_bases();
     let nd = ir.num_demands();
     let nv = ir.num_vulnerable();
+    let unsplit = |whole, orphan_vulnerable| Components {
+        shards: Vec::new(),
+        whole,
+        parent_bases: Box::default(),
+        orphan_vulnerable,
+    };
     if nd == 0 {
         // Nothing to delete: the optimum is empty everywhere.
-        return Partition {
-            shards: Vec::new(),
-            orphan_vulnerable: nv,
-        };
+        return unsplit(false, nv);
     }
 
     let (demand_rows, vulnerable_rows) = (ir.demand_rows(), ir.vulnerable_rows());
@@ -160,10 +240,7 @@ pub fn partition(ir: &Arc<CompiledInstance>) -> Partition {
     }
 
     if comp_count <= 1 {
-        return Partition {
-            shards: vec![Shard { ir: Arc::clone(ir) }],
-            orphan_vulnerable,
-        };
+        return unsplit(true, orphan_vulnerable);
     }
 
     // One counting pass groups the dense bases, demands and vulnerable
@@ -203,11 +280,13 @@ pub fn partition(ir: &Arc<CompiledInstance>) -> Partition {
     let statics = ir.statics_arc();
     let mut rank = vec![NO_RANK; statics.universe.len()];
     let mut grouped = vec![0u32; at[2] as usize];
+    let mut parent_bases = vec![0u32; nb].into_boxed_slice();
     let mut next = starts.clone();
     for (b, &u) in ir.base_uids().iter().enumerate() {
         let k = comp_of_base[b] as usize;
         rank[u as usize] = next[k][0] - starts[k][0];
         grouped[next[k][0] as usize] = u;
+        parent_bases[next[k][0] as usize] = b as u32;
         next[k][0] += 1;
     }
     for (d, &i) in ir.demand_idx().iter().enumerate() {
@@ -251,12 +330,14 @@ pub fn partition(ir: &Arc<CompiledInstance>) -> Partition {
         .map(|layout| {
             let (store, statics) = (Arc::clone(&store), Arc::clone(&statics));
             let ir = CompiledInstance::in_store(store, layout, statics, generation);
-            Shard { ir: Arc::new(ir) }
+            Arc::new(ir)
         })
         .collect();
 
-    Partition {
+    Components {
         shards,
+        whole: false,
+        parent_bases,
         orphan_vulnerable,
     }
 }

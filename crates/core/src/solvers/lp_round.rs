@@ -40,14 +40,15 @@ use delprop_lp::{Cmp, LpOutcome, LpProblem, Sense};
 fn build(ir: &CompiledInstance) -> LpProblem {
     let ny = ir.num_bases();
     let nx = ir.num_vulnerable();
+    let (demand_rows, vulnerable_rows) = (ir.demand_rows(), ir.vulnerable_rows());
     let mut lp = LpProblem::new(ny + nx, Sense::Minimize);
-    for r in 0..nx as u32 {
-        lp.set_objective(ny + r as usize, ir.vulnerable_weight(r));
+    for (r, &w) in ir.vulnerable_weights().iter().enumerate() {
+        lp.set_objective(ny + r, w);
     }
     // Demand constraints.
     for d in 0..ir.num_demands() as u32 {
-        let terms: Vec<(usize, f64)> = ir
-            .demand_row(d)
+        let terms: Vec<(usize, f64)> = demand_rows
+            .row(d)
             .iter()
             .map(|&yi| (yi as usize, 1.0))
             .collect();
@@ -55,7 +56,7 @@ fn build(ir: &CompiledInstance) -> LpProblem {
     }
     // Damage-link constraints x_s - y_t >= 0.
     for r in 0..nx as u32 {
-        for &yi in ir.vulnerable_row(r) {
+        for &yi in vulnerable_rows.row(r) {
             lp.add_constraint(
                 vec![(ny + r as usize, 1.0), (yi as usize, -1.0)],
                 Cmp::Ge,
@@ -145,26 +146,27 @@ pub fn balanced_lower_bound(ir: &CompiledInstance) -> f64 {
         return 0.0;
     }
     let (ny, nx, nz) = (ir.num_bases(), ir.num_vulnerable(), ir.num_demands());
+    let (demand_rows, vulnerable_rows) = (ir.demand_rows(), ir.vulnerable_rows());
     let mut lp = LpProblem::new(ny + nx + nz, Sense::Minimize);
     let mut constant = 0.0;
-    for r in 0..nx as u32 {
-        lp.set_objective(ny + r as usize, ir.vulnerable_weight(r));
+    for (r, &w) in ir.vulnerable_weights().iter().enumerate() {
+        lp.set_objective(ny + r, w);
     }
-    for d in 0..nz as u32 {
+    for (d, &w) in ir.demand_weights().iter().enumerate() {
         // w_r(1 - z_r) = w_r - w_r z_r
-        constant += ir.demand_weight(d);
-        lp.set_objective(ny + nx + d as usize, -ir.demand_weight(d));
-        let mut terms: Vec<(usize, f64)> = ir
-            .demand_row(d)
+        constant += w;
+        lp.set_objective(ny + nx + d, -w);
+        let mut terms: Vec<(usize, f64)> = demand_rows
+            .row(d as u32)
             .iter()
             .map(|&yi| (yi as usize, 1.0))
             .collect();
-        terms.push((ny + nx + d as usize, -1.0));
+        terms.push((ny + nx + d, -1.0));
         lp.add_constraint(terms, Cmp::Ge, 0.0); // z_r <= Σ y_t
-        lp.add_constraint(vec![(ny + nx + d as usize, 1.0)], Cmp::Le, 1.0);
+        lp.add_constraint(vec![(ny + nx + d, 1.0)], Cmp::Le, 1.0);
     }
     for r in 0..nx as u32 {
-        for &yi in ir.vulnerable_row(r) {
+        for &yi in vulnerable_rows.row(r) {
             lp.add_constraint(
                 vec![(ny + r as usize, 1.0), (yi as usize, -1.0)],
                 Cmp::Ge,

@@ -56,16 +56,21 @@ pub fn solve_balanced(
             .is_none_or(|c| c.contains(r as usize))
     };
 
+    let (demand_rows, hit_rows) = (ir.demand_rows(), ir.hit_rows());
+    let (vulnerable_rows, incidence_rows) = (ir.vulnerable_rows(), ir.incidence_rows());
+    let (witness_masks, vulnerable_masks) = (ir.witness_masks(), ir.vulnerable_masks());
+    let (demand_weights, vulnerable_weights) = (ir.demand_weights(), ir.vulnerable_weights());
+
     // Capacities as in the standard algorithm.
     let nb = ir.num_bases();
     let mut cap = vec![0.0f64; nb];
-    for r in 0..ir.num_vulnerable() as u32 {
+    let ks = ir.vulnerable_ks().iter().zip(vulnerable_weights);
+    for (r, (&k, &w)) in (0u32..).zip(ks) {
         if !counted(r) {
             continue;
         }
-        let k = ir.vulnerable_k(r) as f64;
-        let share = ir.vulnerable_weight(r) / k;
-        for &b in ir.vulnerable_row(r) {
+        let share = w / k as f64;
+        for &b in vulnerable_rows.row(r) {
             cap[b as usize] += share;
         }
     }
@@ -81,11 +86,11 @@ pub fn solve_balanced(
     const EPS: f64 = 1e-9;
 
     for d in 0..ir.num_demands() as u32 {
-        if words::intersects(ir.witness_mask_row(d), deleted_bits.words()) {
+        if words::intersects(witness_masks.row(d), deleted_bits.words()) {
             continue; // already cut for free
         }
-        let witnesses = ir.demand_row(d);
-        let prize = ir.demand_weight(d);
+        let witnesses = demand_rows.row(d);
+        let prize = demand_weights[d as usize];
         let slack = witnesses
             .iter()
             .filter(|&&b| !forbidden.contains(b as usize))
@@ -110,7 +115,7 @@ pub fn solve_balanced(
                 }
             }
             debug_assert!(words::intersects(
-                ir.witness_mask_row(d),
+                witness_masks.row(d),
                 deleted_bits.words()
             ));
         }
@@ -127,32 +132,32 @@ pub fn solve_balanced(
     let nd = ir.num_demands();
     let nr = ir.num_vulnerable();
     let mut cut_count: Vec<u32> = (0..nd as u32)
-        .map(|d| words::intersection_count(ir.witness_mask_row(d), deleted_bits.words()) as u32)
+        .map(|d| words::intersection_count(witness_masks.row(d), deleted_bits.words()) as u32)
         .collect();
     let mut damage_count: Vec<u32> = (0..nr as u32)
-        .map(|r| words::intersection_count(ir.vulnerable_mask_row(r), deleted_bits.words()) as u32)
+        .map(|r| words::intersection_count(vulnerable_masks.row(r), deleted_bits.words()) as u32)
         .collect();
     let cost_of = |cut_count: &[u32], damage_count: &[u32]| -> f64 {
         let missed: f64 = cut_count
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c == 0)
-            .map(|(d, _)| ir.demand_weight(d as u32))
+            .map(|(d, _)| demand_weights[d])
             .sum();
         let damage: f64 = damage_count
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c > 0)
-            .map(|(r, _)| ir.vulnerable_weight(r as u32))
+            .map(|(r, _)| vulnerable_weights[r])
             .sum();
         missed + damage
     };
     let mut current = cost_of(&cut_count, &damage_count);
     for &b in deleted.iter().rev() {
-        for &d in ir.hit_row(b) {
+        for &d in hit_rows.row(b) {
             cut_count[d as usize] -= 1;
         }
-        for &r in ir.incidence_row(b) {
+        for &r in incidence_rows.row(b) {
             damage_count[r as usize] -= 1;
         }
         let c = cost_of(&cut_count, &damage_count);
@@ -160,10 +165,10 @@ pub fn solve_balanced(
             current = c;
             deleted_bits.remove(b as usize);
         } else {
-            for &d in ir.hit_row(b) {
+            for &d in hit_rows.row(b) {
                 cut_count[d as usize] += 1;
             }
-            for &r in ir.incidence_row(b) {
+            for &r in incidence_rows.row(b) {
                 damage_count[r as usize] += 1;
             }
         }

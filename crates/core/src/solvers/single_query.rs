@@ -42,12 +42,9 @@ pub fn solve_single_deletion(ir: &CompiledInstance) -> Result<Solution, CoreErro
     // order, matching the witness-set order of the uncompiled path; the
     // incidence row of each candidate is exactly the preserved view
     // tuples its deletion would damage.
-    for &b in ir.demand_row(0) {
-        let damage: f64 = ir
-            .incidence_row(b)
-            .iter()
-            .map(|&r| ir.vulnerable_weight(r))
-            .sum();
+    let (incidence, weights) = (ir.incidence_rows(), ir.vulnerable_weights());
+    for &b in ir.demand_rows().row(0) {
+        let damage: f64 = incidence.row(b).iter().map(|&r| weights[r as usize]).sum();
         if best.is_none_or(|(d, _)| damage < d) {
             best = Some((damage, b));
         }

@@ -38,8 +38,9 @@ pub fn solve(ir: &CompiledInstance) -> Solution {
     // Demands as witness rows, deduplicated: two demands with the same
     // witness set are one constraint. Rows are sorted by candidate id,
     // which follows TupleId order, so row comparison is well defined.
+    let rows = ir.demand_rows();
     let mut demands: Vec<Vec<u32>> = (0..ir.num_demands() as u32)
-        .map(|d| ir.demand_row(d).to_vec())
+        .map(|d| rows.row(d).to_vec())
         .collect();
     demands.sort();
     demands.dedup();
@@ -94,6 +95,7 @@ pub fn solve_greedy(ir: &CompiledInstance) -> Solution {
     let mut hit = vec![false; nd];
     let mut hit_count = 0usize;
     let mut deleted: Vec<u32> = Vec::new();
+    let (demand_rows, hit_rows) = (ir.demand_rows(), ir.hit_rows());
     while hit_count < nd {
         // Count coverage of each candidate among un-hit demands.
         let mut gain = vec![0usize; ir.num_bases()];
@@ -101,7 +103,7 @@ pub fn solve_greedy(ir: &CompiledInstance) -> Solution {
             if hit[d as usize] {
                 continue;
             }
-            for &b in ir.demand_row(d) {
+            for &b in demand_rows.row(d) {
                 gain[b as usize] += 1;
             }
         }
@@ -127,7 +129,7 @@ pub fn solve_greedy(ir: &CompiledInstance) -> Solution {
         }
         let b = b as u32;
         deleted.push(b);
-        for &d in ir.hit_row(b) {
+        for &d in hit_rows.row(b) {
             if !hit[d as usize] {
                 hit[d as usize] = true;
                 hit_count += 1;
