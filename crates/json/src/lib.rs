@@ -1,10 +1,11 @@
 //! Minimal zero-dependency JSON: a value type with **sorted-key**
-//! rendering, a parser, and an artifact writer that refuses
-//! nondeterministic output.
+//! rendering, byte-level writers, a pull [`Reader`], and an artifact
+//! writer that refuses nondeterministic output.
 //!
 //! Extracted from the bench harness (which re-exports it as
 //! `delprop_bench::json`) so the serving daemon's wire protocol can
-//! share the same value type without depending on the harness.
+//! share the same grammar and number format without depending on the
+//! harness.
 //!
 //! Bench artifacts (`artifacts/BENCH_*.json`) are diffed by the CI
 //! bench gate, so their byte layout must be a pure function of the
@@ -13,9 +14,21 @@
 //! recovers bit-identical values), and [`write_artifact`] rejects any
 //! object with duplicate keys — the one way a caller could smuggle
 //! order-dependence past the sort.
+//!
+//! Two ways in and out share one format:
+//!
+//! - **Trees.** [`Json`] values, [`Json::render`] and [`parse`] — what
+//!   the artifacts and the `publish` instance specs use.
+//! - **Streams.** [`write_str`], [`write_num`] and [`write_uint`]
+//!   append one scalar to a byte buffer, so a typed encoder (the
+//!   daemon's wire codec) writes its fields straight into a frame;
+//!   [`Reader`] walks a document once, token by token, with no tree.
+//!   [`Json::render`] is built on the writers and [`parse`] on the
+//!   reader, so the workspace has one number format, one string
+//!   escaping and one grammar.
 
-use std::fmt::Write as _;
-use std::io;
+use std::borrow::Cow;
+use std::io::{self, Write as _};
 use std::path::Path;
 
 /// A JSON value.
@@ -103,24 +116,27 @@ impl Json {
     /// one row per line (the layout the bench gate diffs); everything
     /// else is compact.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         match self {
             Json::Arr(rows) if rows.iter().all(|r| matches!(r, Json::Obj(_))) => {
-                out.push_str("[\n");
+                out.extend_from_slice(b"[\n");
                 for (i, row) in rows.iter().enumerate() {
-                    out.push_str("  ");
-                    render_value(row, &mut out);
+                    out.extend_from_slice(b"  ");
+                    write_value(&mut out, row);
                     if i + 1 < rows.len() {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    out.push('\n');
+                    out.push(b'\n');
                 }
-                out.push(']');
+                out.push(b']');
             }
-            other => render_value(other, &mut out),
+            other => write_value(&mut out, other),
         }
-        out.push('\n');
-        out
+        out.push(b'\n');
+        // Every writer appends whole UTF-8 sequences, so the lossy
+        // branch is never taken.
+        String::from_utf8(out)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
 
     /// Depth-first check for duplicate keys inside any object. Returns
@@ -145,71 +161,141 @@ impl Json {
     }
 }
 
-fn render_value(v: &Json, out: &mut String) {
+// -------------------------------------------------------------------
+// Writers
+// -------------------------------------------------------------------
+
+/// Append `v` in compact form (`", "` and `": "` separators, sorted
+/// object keys): what [`Json::render`] writes for anything but a
+/// top-level array of objects, less the trailing newline.
+pub fn write_value(out: &mut Vec<u8>, v: &Json) {
     match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Json::Num(n) => render_num(*n, out),
-        Json::Str(s) => render_str(s, out),
+        Json::Null => out.extend_from_slice(b"null"),
+        Json::Bool(b) => write_bool(out, *b),
+        Json::Num(n) => write_num(out, *n),
+        Json::Str(s) => write_str(out, s),
         Json::Arr(items) => {
-            out.push('[');
+            out.push(b'[');
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(", ");
+                    out.extend_from_slice(b", ");
                 }
-                render_value(item, out);
+                write_value(out, item);
             }
-            out.push(']');
+            out.push(b']');
         }
         Json::Obj(pairs) => {
             let mut sorted: Vec<&(String, Json)> = pairs.iter().collect();
             sorted.sort_by(|a, b| a.0.cmp(&b.0));
-            out.push('{');
+            out.push(b'{');
             for (i, (k, val)) in sorted.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(", ");
+                    out.extend_from_slice(b", ");
                 }
-                render_str(k, out);
-                out.push_str(": ");
-                render_value(val, out);
+                write_str(out, k);
+                out.extend_from_slice(b": ");
+                write_value(out, val);
             }
-            out.push('}');
+            out.push(b'}');
         }
     }
 }
 
-fn render_num(n: f64, out: &mut String) {
+/// Append `true` or `false`.
+#[inline]
+pub fn write_bool(out: &mut Vec<u8>, b: bool) {
+    out.extend_from_slice(if b { b"true" } else { b"false" });
+}
+
+/// Append a number. Integral values below 9e15 print as integers,
+/// other finite values in Rust's shortest-round-trip form, and NaN and
+/// ±inf as the quoted strings `"NaN"`, `"inf"`, `"-inf"`: JSON has no
+/// such numbers, and an artifact holding one is a bug to show, not to
+/// null out.
+#[inline]
+pub fn write_num(out: &mut Vec<u8>, n: f64) {
     if !n.is_finite() {
-        // JSON has no NaN/Inf; an artifact containing one is a bug we
-        // want visible, not silently nulled.
         let _ = write!(out, "\"{n}\"");
     } else if n == n.trunc() && n.abs() < 9.0e15 {
-        let _ = write!(out, "{}", n as i64);
+        let i = n as i64;
+        if i < 0 {
+            out.push(b'-');
+        }
+        write_digits(out, i.unsigned_abs());
     } else {
-        // Rust's shortest-round-trip float formatting: deterministic,
-        // and parsing the text recovers the identical f64.
         let _ = write!(out, "{n}");
     }
 }
 
-fn render_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Append an unsigned integer exactly as [`write_num`] prints it as an
+/// `f64` (what [`Json::uint`] holds), without the float: digits below
+/// 9e15, the float form above.
+#[inline]
+pub fn write_uint(out: &mut Vec<u8>, v: u64) {
+    if v < 9_000_000_000_000_000 {
+        write_digits(out, v);
+    } else {
+        write_num(out, v as f64);
+    }
+}
+
+#[inline]
+fn write_digits(out: &mut Vec<u8>, mut v: u64) {
+    // Least significant digit first, then reversed in place: single-byte
+    // pushes beat copying a short run of unknown length.
+    let start = out.len();
+    loop {
+        out.push(b'0' + (v % 10) as u8);
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out.push('"');
+    if let Some(digits) = out.get_mut(start..) {
+        digits.reverse();
+    }
+}
+
+/// Append `s` as a string literal: quoted, with `"`, `\`, `\n`, `\t`,
+/// `\r` escaped and other control characters as `\u00xx`. Everything
+/// else, non-ASCII included, is copied as is.
+#[inline]
+pub fn write_str(out: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
+    out.push(b'"');
+    let mut run = 0; // start of the bytes not yet copied
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\t' => b"\\t",
+            b'\r' => b"\\r",
+            0..=0x1f => &[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                hex_digit(b >> 4),
+                hex_digit(b & 0xf),
+            ],
+            _ => continue,
+        };
+        out.extend_from_slice(bytes.get(run..i).unwrap_or_default());
+        out.extend_from_slice(escape);
+        run = i + 1;
+    }
+    out.extend_from_slice(bytes.get(run..).unwrap_or_default());
+    out.push(b'"');
+}
+
+#[inline]
+fn hex_digit(n: u8) -> u8 {
+    if n < 10 {
+        b'0' + n
+    } else {
+        b'a' + n - 10
+    }
 }
 
 /// Render `json` (sorted keys) and write it to `path`, creating parent
@@ -232,164 +318,448 @@ pub fn write_artifact<P: AsRef<Path>>(path: P, json: &Json) -> io::Result<String
     Ok(path.display().to_string())
 }
 
-/// Parse a JSON document. Accepts exactly what [`Json::render`] emits
-/// plus ordinary whitespace variations — enough for the bench gate to
-/// read baselines, not a general-purpose validator.
+// -------------------------------------------------------------------
+// Reading
+// -------------------------------------------------------------------
+
+/// Parse a JSON document into a tree: [`Reader::value`] over the whole
+/// text, then [`Reader::finish`].
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
+    let mut r = Reader::new(text);
+    let value = r.value()?;
+    r.finish()?;
     Ok(value)
 }
 
-/// The bytes from `pos` on; empty past the end (never panics).
-fn tail(bytes: &[u8], pos: usize) -> &[u8] {
-    bytes.get(pos..).unwrap_or_default()
+/// What the next value of a [`Reader`] is, told by its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Token {
+    /// `null`
+    Null,
+    /// `true` or `false`
+    Bool,
+    /// A number — and anything no other token claims, which then
+    /// fails to read as one.
+    Num,
+    /// A string.
+    Str,
+    /// An array.
+    Arr,
+    /// An object.
+    Obj,
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    // lint:allow(panic): index guarded by the same-line length check
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Arrays and objects nested deeper than this are refused, so a hostile
+/// document cannot exhaust the stack of a recursive reader.
+pub const MAX_DEPTH: usize = 128;
+
+/// A pull reader: walks one document once, value by value, without
+/// building a tree.
+///
+/// The caller asks for what it expects next — [`Reader::peek`] tells
+/// which value comes — and reads it with [`Reader::str`],
+/// [`Reader::num`], [`Reader::bool`], [`Reader::null`], or steps into a
+/// container with [`Reader::begin_object`] / [`Reader::next_key`] and
+/// [`Reader::begin_array`] / [`Reader::next_item`]. After each key, and
+/// each `true` from `next_item`, it reads exactly one value (or
+/// [`Reader::skip`]s it, which still checks its syntax).
+/// [`Reader::finish`] rejects trailing data.
+///
+/// What it accepts is what [`parse`] always accepted: standard JSON
+/// with `\"`, `\\`, `\/`, `\n`, `\t`, `\r` and `\uXXXX` escapes (no
+/// surrogate pairs), raw control characters inside strings, and any
+/// run of `0-9 + - . e E` that Rust parses as an `f64` as a number.
+/// Numbers are `f64`s: a run of at most 19 digits takes an integer fast
+/// path, anything else (`3.0`, `3e0`, `-1`) goes through the float
+/// parser.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// A container was just opened and has not been asked for its
+    /// first item yet.
+    fresh: bool,
+    depth: usize,
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') if tail(bytes, *pos).starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if tail(bytes, *pos).starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if tail(bytes, *pos).starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            // lint:allow(panic): index guarded by the length check in the
-            // same `while` condition
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(bytes.get(start..*pos).unwrap_or_default())
-                .map_err(|e| e.to_string())?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`. The `&str` is the document's
+    /// UTF-8 check: strings borrow from it.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            pos: 0,
+            fresh: false,
+            depth: 0,
         }
     }
-}
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
+    /// Bytes not read yet.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.text.len().saturating_sub(self.pos)
     }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'"' => {
-                *pos += 1;
-                return Ok(out);
+
+    #[inline]
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    #[inline]
+    fn at(&self) -> Option<u8> {
+        self.bytes().get(self.pos).copied()
+    }
+
+    #[inline]
+    fn rest_starts_with(&self, lit: &[u8]) -> bool {
+        self.bytes()
+            .get(self.pos..)
+            .is_some_and(|rest| rest.starts_with(lit))
+    }
+
+    #[inline]
+    fn skip_ws(&mut self) {
+        let rest = self.bytes().get(self.pos..).unwrap_or_default();
+        self.pos += rest
+            .iter()
+            .take_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            .count();
+    }
+
+    /// The kind of the next value (whitespace skipped). `Err` at the
+    /// end of the input.
+    #[inline]
+    pub fn peek(&mut self) -> Result<Token, String> {
+        self.skip_ws();
+        Ok(match self.at() {
+            None => return Err("unexpected end of input".into()),
+            Some(b'{') => Token::Obj,
+            Some(b'[') => Token::Arr,
+            Some(b'"') => Token::Str,
+            Some(b't') if self.rest_starts_with(b"true") => Token::Bool,
+            Some(b'f') if self.rest_starts_with(b"false") => Token::Bool,
+            Some(b'n') if self.rest_starts_with(b"null") => Token::Null,
+            Some(_) => Token::Num,
+        })
+    }
+
+    /// Step into an object; then call [`Reader::next_key`] until it
+    /// returns `None`.
+    #[inline]
+    pub fn begin_object(&mut self) -> Result<(), String> {
+        self.open(b'{')
+    }
+
+    /// Step into an array; then call [`Reader::next_item`] until it
+    /// returns `false`.
+    #[inline]
+    pub fn begin_array(&mut self) -> Result<(), String> {
+        self.open(b'[')
+    }
+
+    #[inline]
+    fn open(&mut self, bracket: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.at() != Some(bracket) {
+            return Err(format!(
+                "expected '{}' at byte {}",
+                bracket as char, self.pos
+            ));
+        }
+        if self.depth >= MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// The next key of the object being read, its `:` consumed; `None`
+    /// once the object closes.
+    #[inline]
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if !self.more(b'}')? {
+            return Ok(None);
+        }
+        let key = self.str()?;
+        self.skip_ws();
+        if self.at() != Some(b':') {
+            return Err(format!("expected ':' at byte {}", self.pos));
+        }
+        self.pos += 1;
+        Ok(Some(key))
+    }
+
+    /// Whether another item of the array being read follows; `false`
+    /// once the array closes.
+    #[inline]
+    pub fn next_item(&mut self) -> Result<bool, String> {
+        self.more(b']')
+    }
+
+    /// Consume the `,` before the next item (none before the first), or
+    /// the closing bracket.
+    #[inline]
+    fn more(&mut self, close: u8) -> Result<bool, String> {
+        self.skip_ws();
+        let first = std::mem::replace(&mut self.fresh, false);
+        match self.at() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
+                Ok(false)
             }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(format!(
+                "expected ',' or '{}' at byte {}",
+                close as char, self.pos
+            )),
+        }
+    }
+
+    /// Read a string. Borrowed from the document unless it holds an
+    /// escape.
+    #[inline]
+    pub fn str(&mut self) -> Result<Cow<'a, str>, String> {
+        self.skip_ws();
+        if self.at() != Some(b'"') {
+            return Err(format!("expected string at byte {}", self.pos));
+        }
+        self.pos += 1;
+        let text = self.text;
+        let mut owned: Option<String> = None;
+        let mut run = self.pos; // start of the bytes not yet copied
+        loop {
+            // `"` and `\` are ASCII, so every slice below starts and
+            // ends on a char boundary of the `&str`.
+            match self.at() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    let tail = text.get(run..self.pos).unwrap_or_default();
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut s) => {
+                            s.push_str(tail);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
-                *pos += 1;
-            }
-            _ => {
-                // Multi-byte UTF-8: copy the whole char.
-                let rest = std::str::from_utf8(tail(bytes, *pos)).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().ok_or("unexpected end in string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                Some(b'\\') => {
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(text.get(run..self.pos).unwrap_or_default());
+                    s.push(self.escape()?);
+                    run = self.pos;
+                }
+                Some(_) => self.pos += 1,
             }
         }
     }
-    Err("unterminated string".into())
+
+    /// Decode the escape at the `\` under the cursor and step past it.
+    fn escape(&mut self) -> Result<char, String> {
+        self.pos += 1;
+        let c = match self.at() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'u') => {
+                let hex = self
+                    .bytes()
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or("truncated \\u escape")?;
+                let mut code = 0u32;
+                for &h in hex {
+                    let digit = char::from(h)
+                        .to_digit(16)
+                        .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+                    code = code * 16 + digit;
+                }
+                self.pos += 4;
+                char::from_u32(code).ok_or("bad \\u escape")?
+            }
+            other => return Err(format!("bad escape {:?}", other.map(char::from))),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// Read a number.
+    #[inline]
+    pub fn num(&mut self) -> Result<f64, String> {
+        self.skip_ws();
+        let start = self.pos;
+        let rest = self.bytes().get(start..).unwrap_or_default();
+        let len = rest
+            .iter()
+            .take_while(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+            .count();
+        self.pos = start + len;
+        let run = rest.get(..len).unwrap_or_default();
+        // At most 19 digits cannot overflow the u64, and converting it
+        // rounds exactly as parsing the text as an f64 would.
+        if (1..=19).contains(&len) && run.iter().all(u8::is_ascii_digit) {
+            let int = run.iter().fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'));
+            return Ok(int as f64);
+        }
+        let text = self.text.get(start..self.pos).unwrap_or_default();
+        text.parse::<f64>()
+            .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
+    }
+
+    /// Read an array of exactly `N` plain non-negative integers of at
+    /// most 15 digits each (so below 2^53, exact in an `f64`), such as
+    /// `[3, 1024]`: the fast path for id tuples. `None`, with the
+    /// reader left where it was, for anything else — any other value,
+    /// length or number form — which the caller then reads the general
+    /// way.
+    #[inline]
+    pub fn uint_tuple<const N: usize>(&mut self) -> Option<[u64; N]> {
+        let bytes = self.bytes();
+        let ws = |i: &mut usize| {
+            while matches!(bytes.get(*i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                *i += 1;
+            }
+        };
+        let mut i = self.pos;
+        ws(&mut i);
+        if bytes.get(i) != Some(&b'[') || self.depth >= MAX_DEPTH {
+            return None;
+        }
+        i += 1;
+        let mut out = [0u64; N];
+        for (k, slot) in out.iter_mut().enumerate() {
+            ws(&mut i);
+            if k > 0 {
+                if bytes.get(i) != Some(&b',') {
+                    return None;
+                }
+                i += 1;
+                ws(&mut i);
+            }
+            let start = i;
+            while let Some(&d @ b'0'..=b'9') = bytes.get(i) {
+                *slot = *slot * 10 + u64::from(d - b'0');
+                i += 1;
+                if i - start > 15 {
+                    return None;
+                }
+            }
+            // A number that goes on (`3.0`, `3e0`) finds no `,` or `]`
+            // next and falls back below.
+            if i == start {
+                return None;
+            }
+        }
+        ws(&mut i);
+        if bytes.get(i) != Some(&b']') {
+            return None;
+        }
+        self.pos = i + 1;
+        Some(out)
+    }
+
+    /// Read `true` or `false`.
+    #[inline]
+    pub fn bool(&mut self) -> Result<bool, String> {
+        self.skip_ws();
+        for (lit, value) in [(&b"true"[..], true), (&b"false"[..], false)] {
+            if self.rest_starts_with(lit) {
+                self.pos += lit.len();
+                return Ok(value);
+            }
+        }
+        Err(format!("expected true or false at byte {}", self.pos))
+    }
+
+    /// Read `null`.
+    #[inline]
+    pub fn null(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if !self.rest_starts_with(b"null") {
+            return Err(format!("expected null at byte {}", self.pos));
+        }
+        self.pos += 4;
+        Ok(())
+    }
+
+    /// Step over the next value, checking its syntax.
+    pub fn skip(&mut self) -> Result<(), String> {
+        match self.peek()? {
+            Token::Obj => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+            }
+            Token::Arr => {
+                self.begin_array()?;
+                while self.next_item()? {
+                    self.skip()?;
+                }
+            }
+            Token::Str => {
+                self.str()?;
+            }
+            Token::Num => {
+                self.num()?;
+            }
+            Token::Bool => {
+                self.bool()?;
+            }
+            Token::Null => self.null()?,
+        }
+        Ok(())
+    }
+
+    /// Read the next value as a tree.
+    pub fn value(&mut self) -> Result<Json, String> {
+        Ok(match self.peek()? {
+            Token::Obj => {
+                self.begin_object()?;
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    pairs.push((key.into_owned(), self.value()?));
+                }
+                Json::Obj(pairs)
+            }
+            Token::Arr => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                Json::Arr(items)
+            }
+            Token::Str => Json::Str(self.str()?.into_owned()),
+            Token::Num => Json::Num(self.num()?),
+            Token::Bool => Json::Bool(self.bool()?),
+            Token::Null => {
+                self.null()?;
+                Json::Null
+            }
+        })
+    }
+
+    /// Accept the end of the document: only whitespace may follow.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(format!("trailing data at byte {}", self.pos));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -445,6 +815,119 @@ mod tests {
         assert_eq!(rows[0].get("s"), Some(&Json::Str("x\"y".into())));
         assert_eq!(rows[1].get("a").unwrap().as_num(), Some(2.5));
         assert!(parse("[1, 2] trailing").is_err());
+    }
+
+    #[test]
+    fn writers_match_the_formats_render_always_had() {
+        let mut out = Vec::new();
+        write_str(&mut out, "a\"b\\c\nd\te\rf\u{1}g\u{1f}é✓");
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            "\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g\\u001fé✓\""
+        );
+        for (n, text) in [
+            (0.0, "0"),
+            (-0.0, "0"),
+            (-42.0, "-42"),
+            (0.1, "0.1"),
+            (1e-9, "0.000000001"),
+            (2876.0802634348534, "2876.0802634348534"),
+            (9.0e15, "9000000000000000"),
+            (f64::NAN, "\"NaN\""),
+            (f64::INFINITY, "\"inf\""),
+            (f64::NEG_INFINITY, "\"-inf\""),
+        ] {
+            let mut out = Vec::new();
+            write_num(&mut out, n);
+            assert_eq!(String::from_utf8(out).unwrap(), text, "{n}");
+        }
+        for v in [
+            0,
+            7,
+            1 << 53,
+            8_999_999_999_999_999,
+            9_000_000_000_000_000,
+            u64::MAX,
+        ] {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            write_uint(&mut a, v);
+            write_num(&mut b, v as f64);
+            assert_eq!(a, b, "{v}");
+        }
+    }
+
+    #[test]
+    fn reader_walks_a_document_without_a_tree() {
+        let mut r = Reader::new(
+            r#" {"k": [1, 2.5e1, "s\u00e9"], "skip": {"x": [null, true]}, "b": false} "#,
+        );
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("k"));
+        r.begin_array().unwrap();
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.num().unwrap(), 1.0);
+        assert!(r.next_item().unwrap());
+        assert_eq!(r.peek().unwrap(), Token::Num);
+        assert_eq!(r.num().unwrap(), 25.0);
+        assert!(r.next_item().unwrap());
+        assert!(matches!(r.str().unwrap(), Cow::Owned(s) if s == "sé"));
+        assert!(!r.next_item().unwrap());
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("skip"));
+        r.skip().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("b"));
+        assert!(!r.bool().unwrap());
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn reader_borrows_unescaped_strings() {
+        let mut r = Reader::new(r#""plain""#);
+        assert!(matches!(r.str().unwrap(), Cow::Borrowed("plain")));
+    }
+
+    #[test]
+    fn parse_rejects_what_it_always_rejected() {
+        for bad in [
+            "",
+            "[1,]",
+            "[,1]",
+            "{\"a\":1,}",
+            "{\"a\" 1}",
+            "{1:2}",
+            "[1 2]",
+            "\"open",
+            "\"bad \\q escape\"",
+            "\"\\u12\"",
+            "\"\\ud800\"",
+            "\"\\u+041\"",
+            "tru",
+            "nul",
+            "-",
+            "1.2.3",
+            "{} {}",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
+        assert_eq!(parse(" [ ] ").unwrap(), Json::Arr(Vec::new()));
+        assert_eq!(parse("{}").unwrap(), Json::Obj(Vec::new()));
+        assert_eq!(parse("\"\\u0041\\/\"").unwrap(), Json::str("A/"));
+        assert_eq!(parse("007").unwrap(), Json::Num(7.0));
+        assert_eq!(parse("3e0").unwrap(), Json::Num(3.0));
+        assert_eq!(
+            parse("12345678901234567890123").unwrap(),
+            Json::Num(1.2345678901234568e22)
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&deep).is_err());
+        assert!(parse(&"[".repeat(1 << 19)).is_err());
+        assert!(Reader::new(&"{\"a\":".repeat(1 << 19)).skip().is_err());
     }
 
     #[test]

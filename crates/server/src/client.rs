@@ -11,29 +11,39 @@
 use std::io;
 use std::net::TcpStream;
 
-use crate::wire::{read_frame, write_frame, ConnStream, Request, Response};
+use crate::wire::{send_frame, ConnStream, FrameBuffer, Request, Response};
 
 /// A connected protocol client.
 pub struct Client {
     stream: Box<dyn ConnStream>,
+    /// Response bytes read but not yet decoded.
+    frames: FrameBuffer,
+    /// Request encode buffer, reused across sends.
+    out: Vec<u8>,
 }
 
 impl Client {
+    fn new(stream: Box<dyn ConnStream>) -> Client {
+        Client {
+            stream,
+            frames: FrameBuffer::new(),
+            out: Vec::new(),
+        }
+    }
+
     /// Connect over TCP.
     pub fn connect_tcp(addr: std::net::SocketAddr) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        Ok(Client {
-            stream: Box::new(stream),
-        })
+        Ok(Client::new(Box::new(stream)))
     }
 
     /// Connect over a Unix-domain socket.
     #[cfg(unix)]
     pub fn connect_unix(path: &std::path::Path) -> io::Result<Client> {
-        Ok(Client {
-            stream: Box::new(std::os::unix::net::UnixStream::connect(path)?),
-        })
+        Ok(Client::new(Box::new(
+            std::os::unix::net::UnixStream::connect(path)?,
+        )))
     }
 
     /// Bound how long [`Client::recv`] blocks — the chaos harness uses
@@ -45,15 +55,15 @@ impl Client {
 
     /// Fire a request without waiting for the response.
     pub fn send(&mut self, req: &Request) -> io::Result<()> {
-        write_frame(&mut self.stream, &req.to_bytes())
+        send_frame(&mut self.stream, &mut self.out, |out| req.encode(out))
     }
 
     /// Read the next response frame (blocking).
     pub fn recv(&mut self) -> io::Result<Response> {
-        let payload = read_frame(&mut self.stream)?.ok_or_else(|| {
+        let payload = self.frames.read_from(&mut self.stream)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::UnexpectedEof, "server closed the connection")
         })?;
-        Response::from_bytes(&payload)
+        Response::from_bytes(payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad response: {e}")))
     }
 

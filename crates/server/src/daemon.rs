@@ -16,7 +16,7 @@
 //! loop by connecting to ourselves, then join every thread. No thread
 //! is ever killed; everything drains through typed errors.
 
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -32,7 +32,7 @@ use crate::admission::{AdmissionConfig, Gate};
 use crate::engine::{self, ActiveRequests, EngineConfig, Served};
 use crate::state::{InstanceSpec, ServingInstance};
 use crate::stats;
-use crate::wire::{write_frame, ConnStream, FrameBuffer, Request, Response};
+use crate::wire::{send_frame, ConnStream, FrameBuffer, Request, Response};
 
 /// How long a connection read blocks before rechecking shutdown.
 const READ_TICK: Duration = Duration::from_millis(50);
@@ -278,14 +278,15 @@ impl Drop for Daemon {
 fn handle_conn(shared: &Shared, mut stream: Box<dyn ConnStream>) {
     let _ = stream.set_stream_read_timeout(Some(READ_TICK));
     let mut frames = FrameBuffer::new();
-    let mut chunk = [0u8; 4096];
+    // One encode buffer for every response on this connection.
+    let mut out = Vec::new();
     loop {
         // Serve every complete frame already buffered.
         loop {
             match frames.next_frame() {
                 Ok(Some(payload)) => {
-                    let response = handle_request(shared, &payload);
-                    if write_frame(&mut stream, &response.to_bytes()).is_err() {
+                    let response = handle_request(shared, payload);
+                    if send_frame(&mut stream, &mut out, |b| response.encode(b)).is_err() {
                         return;
                     }
                 }
@@ -294,7 +295,7 @@ fn handle_conn(shared: &Shared, mut stream: Box<dyn ConnStream>) {
                     // Corrupt framing: answer once, then drop the
                     // connection (resync is impossible).
                     let response = Response::Error { message };
-                    let _ = write_frame(&mut stream, &response.to_bytes());
+                    let _ = send_frame(&mut stream, &mut out, |b| response.encode(b));
                     stream.shutdown_both();
                     return;
                 }
@@ -304,11 +305,9 @@ fn handle_conn(shared: &Shared, mut stream: Box<dyn ConnStream>) {
             stream.shutdown_both();
             return;
         }
-        match stream.read(&mut chunk) {
+        match frames.fill(&mut stream) {
             Ok(0) => return, // clean EOF
-            // lint:allow(panic): io::Read contract — a successful read
-            // returns n <= chunk.len()
-            Ok(n) => frames.extend(&chunk[..n]),
+            Ok(_) => {}
             Err(e)
                 if matches!(
                     e.kind(),

@@ -7,7 +7,8 @@
 //! instances are republished, members fail, and clients overload it:
 //!
 //! - [`wire`] — a length-prefixed JSON wire protocol (`u32` big-endian
-//!   frame length, then a UTF-8 JSON document) shared by the daemon,
+//!   frame length, then a UTF-8 JSON document, each frame sent in one
+//!   write and coded without a document tree) shared by the daemon,
 //!   the [`client`], the chaos harness, and the load generator;
 //! - [`state`] — [`InstanceSpec`]: declarative problem-instance
 //!   specifications (workload generators or the paper's Figure 1)

@@ -93,36 +93,37 @@ fn balanced_objective_is_served() {
 
 #[test]
 fn malformed_requests_get_typed_errors_and_the_connection_survives() {
-    use delprop_server::wire::{read_frame, write_frame};
+    use delprop_server::wire::{write_frame, FrameBuffer};
 
     let daemon = Daemon::spawn(fig1_config()).expect("spawn");
     let mut stream = std::net::TcpStream::connect(daemon.tcp_addr().unwrap()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
+    let mut frames = FrameBuffer::new();
 
     // An unknown op is an application-level error; framing is intact,
     // so the connection keeps serving.
     write_frame(&mut stream, br#"{"op":"explode"}"#).unwrap();
-    let frame = read_frame(&mut stream).unwrap().unwrap();
-    match Response::from_bytes(&frame).unwrap() {
+    let frame = frames.read_from(&mut stream).unwrap().unwrap();
+    match Response::from_bytes(frame).unwrap() {
         Response::Error { message } => assert!(message.contains("unknown op"), "{message}"),
         other => panic!("expected error, got {other:?}"),
     }
 
     // Unparseable bytes in a well-formed frame: same story.
     write_frame(&mut stream, b"not json at all").unwrap();
-    let frame = read_frame(&mut stream).unwrap().unwrap();
-    match Response::from_bytes(&frame).unwrap() {
+    let frame = frames.read_from(&mut stream).unwrap().unwrap();
+    match Response::from_bytes(frame).unwrap() {
         Response::Error { message } => assert!(message.contains("bad request"), "{message}"),
         other => panic!("expected error, got {other:?}"),
     }
 
     // And the connection still answers real requests afterwards.
     write_frame(&mut stream, &Request::Health.to_bytes()).unwrap();
-    let frame = read_frame(&mut stream).unwrap().unwrap();
+    let frame = frames.read_from(&mut stream).unwrap().unwrap();
     assert!(matches!(
-        Response::from_bytes(&frame).unwrap(),
+        Response::from_bytes(frame).unwrap(),
         Response::Health { .. }
     ));
 }

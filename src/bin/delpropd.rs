@@ -174,11 +174,10 @@ fn request(args: &[String], fixed_body: Option<&str>) -> Result<(), String> {
         Some(b) => b.to_string(),
         None => args.get(1).ok_or("need a JSON request body")?.clone(),
     };
-    let parsed = delprop_json::parse(&body)?;
-    let req = Request::from_json(&parsed)?;
+    let req = Request::from_bytes(body.as_bytes())?;
     let addr: std::net::SocketAddr = addr.parse().map_err(|e| format!("{addr}: {e}"))?;
     let mut client = Client::connect_tcp(addr).map_err(|e| e.to_string())?;
     let resp = client.request(&req).map_err(|e| e.to_string())?;
-    println!("{}", resp.to_json().render());
+    println!("{}", String::from_utf8_lossy(&resp.to_bytes()));
     Ok(())
 }
