@@ -353,6 +353,12 @@ pub enum Token {
 /// document cannot exhaust the stack of a recursive reader.
 pub const MAX_DEPTH: usize = 128;
 
+/// Whether `b` continues the number being read.
+#[inline]
+fn number_goes_on(b: Option<u8>) -> bool {
+    matches!(b, Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+}
+
 /// A pull reader: walks one document once, value by value, without
 /// building a tree.
 ///
@@ -419,11 +425,9 @@ impl<'a> Reader<'a> {
 
     #[inline]
     fn skip_ws(&mut self) {
-        let rest = self.bytes().get(self.pos..).unwrap_or_default();
-        self.pos += rest
-            .iter()
-            .take_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-            .count();
+        while matches!(self.at(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
 
     /// The kind of the next value (whitespace skipped). `Err` at the
@@ -598,76 +602,66 @@ impl<'a> Reader<'a> {
     /// Read a number.
     #[inline]
     pub fn num(&mut self) -> Result<f64, String> {
+        if let Some(int) = self.int() {
+            return Ok(int as f64);
+        }
+        self.float()
+    }
+
+    /// The integer fast path of [`Reader::num`]: a number that is a run
+    /// of at most 19 digits, which cannot overflow the `u64` and, as an
+    /// `f64`, rounds exactly as parsing the text would. `None`, with
+    /// only whitespace consumed, for any other number form.
+    #[inline]
+    fn int(&mut self) -> Option<u64> {
         self.skip_ws();
         let start = self.pos;
-        let rest = self.bytes().get(start..).unwrap_or_default();
-        let len = rest
-            .iter()
-            .take_while(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-            .count();
-        self.pos = start + len;
-        let run = rest.get(..len).unwrap_or_default();
-        // At most 19 digits cannot overflow the u64, and converting it
-        // rounds exactly as parsing the text as an f64 would.
-        if (1..=19).contains(&len) && run.iter().all(u8::is_ascii_digit) {
-            let int = run.iter().fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'));
-            return Ok(int as f64);
+        let mut int = 0u64;
+        while let Some(d @ b'0'..=b'9') = self.at() {
+            int = int.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+            self.pos += 1;
+        }
+        if (1..=19).contains(&(self.pos - start)) && !number_goes_on(self.at()) {
+            return Some(int);
+        }
+        self.pos = start;
+        None
+    }
+
+    /// The rest of [`Reader::num`]: every number form but a plain run
+    /// of at most 19 digits, parsed as an `f64`. Kept out of line so the
+    /// integer path inlines into its callers.
+    #[cold]
+    #[inline(never)]
+    fn float(&mut self) -> Result<f64, String> {
+        let start = self.pos;
+        while number_goes_on(self.at()) {
+            self.pos += 1;
         }
         let text = self.text.get(start..self.pos).unwrap_or_default();
         text.parse::<f64>()
             .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
     }
 
-    /// Read an array of exactly `N` plain non-negative integers of at
-    /// most 15 digits each (so below 2^53, exact in an `f64`), such as
-    /// `[3, 1024]`: the fast path for id tuples. `None`, with the
-    /// reader left where it was, for anything else — any other value,
-    /// length or number form — which the caller then reads the general
-    /// way.
+    /// Read an array of exactly `N` numbers that take
+    /// [`Reader::num`]'s integer fast path, such as `[3, 1024]`, with
+    /// the steps of [`Reader::begin_array`] and [`Reader::next_item`].
+    /// `None`, with the reader left where it was, for any other value,
+    /// length or number form, which the caller then reads item by item.
     #[inline]
     pub fn uint_tuple<const N: usize>(&mut self) -> Option<[u64; N]> {
-        let bytes = self.bytes();
-        let ws = |i: &mut usize| {
-            while matches!(bytes.get(*i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                *i += 1;
-            }
-        };
-        let mut i = self.pos;
-        ws(&mut i);
-        if bytes.get(i) != Some(&b'[') || self.depth >= MAX_DEPTH {
-            return None;
+        let at = (self.pos, self.depth, self.fresh);
+        let mut out = [0; N];
+        let read = self.begin_array().is_ok()
+            && out.iter_mut().all(|slot| {
+                matches!(self.next_item(), Ok(true)) && self.int().map(|v| *slot = v).is_some()
+            })
+            && matches!(self.next_item(), Ok(false));
+        if read {
+            return Some(out);
         }
-        i += 1;
-        let mut out = [0u64; N];
-        for (k, slot) in out.iter_mut().enumerate() {
-            ws(&mut i);
-            if k > 0 {
-                if bytes.get(i) != Some(&b',') {
-                    return None;
-                }
-                i += 1;
-                ws(&mut i);
-            }
-            let start = i;
-            while let Some(&d @ b'0'..=b'9') = bytes.get(i) {
-                *slot = *slot * 10 + u64::from(d - b'0');
-                i += 1;
-                if i - start > 15 {
-                    return None;
-                }
-            }
-            // A number that goes on (`3.0`, `3e0`) finds no `,` or `]`
-            // next and falls back below.
-            if i == start {
-                return None;
-            }
-        }
-        ws(&mut i);
-        if bytes.get(i) != Some(&b']') {
-            return None;
-        }
-        self.pos = i + 1;
-        Some(out)
+        (self.pos, self.depth, self.fresh) = at;
+        None
     }
 
     /// Read `true` or `false`.
@@ -881,6 +875,35 @@ mod tests {
     }
 
     #[test]
+    fn uint_tuple_reads_integer_pairs_and_leaves_the_rest_in_place() {
+        let mut r = Reader::new(" [ 3 ,\n1024 ] ");
+        assert_eq!(r.uint_tuple::<2>(), Some([3, 1024]));
+        r.finish().unwrap();
+        // Any other form backs off untouched, so the item-by-item read
+        // after it sees the whole value.
+        for other in [
+            "[3.0, 1]",
+            "[3e0, 1]",
+            "[-1, 2]",
+            "[1]",
+            "[1, 2, 3]",
+            "[\"a\", 1]",
+            "[[1, 2]]",
+            "[1, 2",
+            "[1 2]",
+            "7",
+            "{}",
+            "[12345678901234567890, 1]",
+        ] {
+            let mut r = Reader::new(other);
+            assert_eq!(r.uint_tuple::<2>(), None, "{other}");
+            let mut whole = Reader::new(other);
+            assert_eq!(r.value().ok(), whole.value().ok(), "{other}");
+            assert_eq!(r.finish().is_ok(), whole.finish().is_ok(), "{other}");
+        }
+    }
+
+    #[test]
     fn reader_borrows_unescaped_strings() {
         let mut r = Reader::new(r#""plain""#);
         assert!(matches!(r.str().unwrap(), Cow::Borrowed("plain")));
@@ -918,6 +941,10 @@ mod tests {
             parse("12345678901234567890123").unwrap(),
             Json::Num(1.2345678901234568e22)
         );
+        // Either side of the integer path's 19-digit limit.
+        for text in ["9999999999999999999", "18446744073709551616", "1-2"] {
+            assert_eq!(parse(text).ok(), text.parse().ok().map(Json::Num), "{text}");
+        }
     }
 
     #[test]

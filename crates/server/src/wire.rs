@@ -76,12 +76,6 @@ pub fn send_frame(
     w.flush()
 }
 
-/// Write one frame holding `payload`, in one `write_all`.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(4 + payload.len());
-    send_frame(w, &mut buf, |out| out.extend_from_slice(payload))
-}
-
 /// Bytes asked of the socket per read.
 const READ_CHUNK: usize = 4096;
 
@@ -107,8 +101,10 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
-    /// One `read` from `r` into the buffer. Returns what `read`
-    /// returned: `Ok(0)` is EOF, and a timeout is the reader's error.
+    /// One `read` of at most 4 KiB from `r` into the buffer. Returns
+    /// what `read` returned: `Ok(0)` is EOF, and a timeout is the
+    /// reader's error. Only bytes that arrived are buffered, whatever
+    /// length a frame's prefix announces.
     pub fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
         let pending = self.buf.len() - self.start;
         if pending == 0 {
@@ -118,20 +114,11 @@ impl FrameBuffer {
             self.buf.drain(..self.start);
             self.start = 0;
         }
-        // Ask for the rest of a frame whose prefix is in, so a large
-        // frame arrives in few reads and one resize.
-        let rest = match self.buf.get(self.start..) {
-            Some(&[b0, b1, b2, b3, ..]) => {
-                let len = u32::from_be_bytes([b0, b1, b2, b3]).min(MAX_FRAME) as usize;
-                (4 + len).saturating_sub(pending)
-            }
-            _ => 0,
-        };
-        let old = self.buf.len();
-        self.buf.resize(old + rest.max(READ_CHUNK), 0);
-        let got = r.read(self.buf.get_mut(old..).unwrap_or_default());
-        self.buf.truncate(old + *got.as_ref().unwrap_or(&0));
-        got
+        let mut chunk = [0u8; READ_CHUNK];
+        let n = r.read(&mut chunk)?;
+        self.buf
+            .extend_from_slice(chunk.get(..n).unwrap_or_default());
+        Ok(n)
     }
 
     /// Length, prefix included, of the first unconsumed frame once it
@@ -989,6 +976,11 @@ fn parse_objective(s: &str) -> Result<Objective, String> {
 mod tests {
     use super::*;
 
+    /// Append one frame holding `payload` to `out`.
+    fn frame(out: &mut Vec<u8>, payload: &[u8]) {
+        send_frame(out, &mut Vec::new(), |o| o.extend_from_slice(payload)).unwrap();
+    }
+
     /// Yields its bytes one `read` at a time, `step` bytes per read.
     struct Trickle<'a> {
         bytes: &'a [u8],
@@ -1008,9 +1000,9 @@ mod tests {
     #[test]
     fn frames_roundtrip_through_a_buffer() {
         let mut bytes = Vec::new();
-        write_frame(&mut bytes, b"hello").unwrap();
-        write_frame(&mut bytes, b"").unwrap();
-        write_frame(&mut bytes, b"world").unwrap();
+        frame(&mut bytes, b"hello");
+        frame(&mut bytes, b"");
+        frame(&mut bytes, b"world");
         assert_eq!(&bytes[..9], b"\0\0\0\x05hello");
 
         // Byte by byte and all at once: the decoder must tolerate
@@ -1036,7 +1028,7 @@ mod tests {
     fn consumed_frames_are_compacted_away() {
         let mut bytes = Vec::new();
         for i in 0..1000u32 {
-            write_frame(&mut bytes, &i.to_be_bytes()).unwrap();
+            frame(&mut bytes, &i.to_be_bytes());
         }
         let mut r = Trickle {
             bytes: &bytes,
@@ -1070,7 +1062,7 @@ mod tests {
         let mut w = Writes::default();
         let mut buf = Vec::new();
         send_frame(&mut w, &mut buf, |out| resp.encode(out)).unwrap();
-        write_frame(&mut w, b"raw").unwrap();
+        send_frame(&mut w, &mut Vec::new(), |out| out.extend_from_slice(b"raw")).unwrap();
         assert_eq!(w.0, vec![4 + resp.to_bytes().len(), 7]);
         assert_eq!(&buf[4..], resp.to_bytes());
     }
@@ -1089,9 +1081,27 @@ mod tests {
     }
 
     #[test]
+    fn an_announced_length_is_not_buffered_ahead() {
+        // A prefix announcing MAX_FRAME, then the body a byte per read:
+        // only bytes that arrived are buffered.
+        let mut bytes = MAX_FRAME.to_be_bytes().to_vec();
+        bytes.extend_from_slice(&[b' '; 64]);
+        let mut r = Trickle {
+            bytes: &bytes,
+            step: 1,
+        };
+        let mut fb = FrameBuffer::new();
+        while fb.fill(&mut r).unwrap() > 0 {
+            assert!(fb.buf.capacity() <= 2 * READ_CHUNK, "{}", fb.buf.capacity());
+        }
+        assert_eq!(fb.buf.len(), bytes.len());
+        assert_eq!(fb.next_frame(), Ok(None));
+    }
+
+    #[test]
     fn eof_mid_frame_is_an_error() {
         let mut bytes = Vec::new();
-        write_frame(&mut bytes, b"truncated").unwrap();
+        frame(&mut bytes, b"truncated");
         for cut in [2, bytes.len() - 3] {
             let err = FrameBuffer::new()
                 .read_from(&mut &bytes[..cut])

@@ -93,7 +93,7 @@ fn balanced_objective_is_served() {
 
 #[test]
 fn malformed_requests_get_typed_errors_and_the_connection_survives() {
-    use delprop_server::wire::{write_frame, FrameBuffer};
+    use delprop_server::wire::{send_frame, FrameBuffer};
 
     let daemon = Daemon::spawn(fig1_config()).expect("spawn");
     let mut stream = std::net::TcpStream::connect(daemon.tcp_addr().unwrap()).unwrap();
@@ -101,10 +101,14 @@ fn malformed_requests_get_typed_errors_and_the_connection_survives() {
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
     let mut frames = FrameBuffer::new();
+    let mut out = Vec::new();
 
     // An unknown op is an application-level error; framing is intact,
     // so the connection keeps serving.
-    write_frame(&mut stream, br#"{"op":"explode"}"#).unwrap();
+    send_frame(&mut stream, &mut out, |o| {
+        o.extend_from_slice(br#"{"op":"explode"}"#)
+    })
+    .unwrap();
     let frame = frames.read_from(&mut stream).unwrap().unwrap();
     match Response::from_bytes(frame).unwrap() {
         Response::Error { message } => assert!(message.contains("unknown op"), "{message}"),
@@ -112,7 +116,10 @@ fn malformed_requests_get_typed_errors_and_the_connection_survives() {
     }
 
     // Unparseable bytes in a well-formed frame: same story.
-    write_frame(&mut stream, b"not json at all").unwrap();
+    send_frame(&mut stream, &mut out, |o| {
+        o.extend_from_slice(b"not json at all")
+    })
+    .unwrap();
     let frame = frames.read_from(&mut stream).unwrap().unwrap();
     match Response::from_bytes(frame).unwrap() {
         Response::Error { message } => assert!(message.contains("bad request"), "{message}"),
@@ -120,7 +127,7 @@ fn malformed_requests_get_typed_errors_and_the_connection_survives() {
     }
 
     // And the connection still answers real requests afterwards.
-    write_frame(&mut stream, &Request::Health.to_bytes()).unwrap();
+    send_frame(&mut stream, &mut out, |o| Request::Health.encode(o)).unwrap();
     let frame = frames.read_from(&mut stream).unwrap().unwrap();
     assert!(matches!(
         Response::from_bytes(frame).unwrap(),
