@@ -22,6 +22,9 @@ pub enum CoreError {
     },
     /// A weight was invalid (negative or non-finite).
     InvalidWeight { value: f64 },
+    /// Workload generator parameters are out of range (e.g. a deletion
+    /// fraction outside `[0, 1]`).
+    InvalidParams { reason: String },
     /// A declared functional dependency does not hold on the instance
     /// (FD-extended key preservation is only sound when the FDs hold).
     FdViolation { relation: String, fd_index: usize },
@@ -67,6 +70,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::InvalidWeight { value } => {
                 write!(f, "invalid weight {value}: must be finite and non-negative")
+            }
+            CoreError::InvalidParams { reason } => {
+                write!(f, "invalid instance parameters: {reason}")
             }
             CoreError::FdViolation { relation, fd_index } => write!(
                 f,

@@ -3,13 +3,13 @@
 //! Everything here evaluates through the unique-witness property: a
 //! key-preserving view tuple is eliminated by `ΔD` iff its witness set
 //! intersects `ΔD`. [`Solution::verify_by_reevaluation`] cross-checks that
-//! shortcut by re-evaluating every query over `D ∖ ΔD` in place — the
-//! evaluator skips the tuples of `ΔD`, so the database is never copied —
-//! and the portfolio runs it on every candidate it accepts.
+//! shortcut by re-deriving every query's surviving answers `Qi(D ∖ ΔD)`
+//! in place — the evaluator skips the tuples of `ΔD`, so the database is
+//! never copied — and the portfolio runs it on every candidate it accepts.
 
 use crate::problem::Problem;
-use delprop_query::{View, ViewTuple, ViewTupleId};
-use delprop_relation::TupleId;
+use delprop_query::{heads_without, ViewTupleId};
+use delprop_relation::{Tuple, TupleId};
 use std::collections::BTreeSet;
 
 /// A source-deletion solution `ΔD ⊆ D`.
@@ -89,14 +89,20 @@ impl Solution {
     /// verify that the surviving view tuples are exactly those the
     /// witness shortcut predicts. Returns the re-evaluated side-effect.
     ///
-    /// The re-evaluation runs the hash-join evaluator with `ΔD` as its
-    /// skip set ([`View::materialize_without`]), so the database is
-    /// neither copied nor mutated, and it does not consult the IR or the
-    /// stored witness sets: it is an independent check of the shortcut.
-    /// Stored and re-evaluated views are walked together in their shared
-    /// head order, with `ΔV` walked in step; every stored tuple is
-    /// compared with its prediction, and a re-evaluated head the stored
-    /// view lacks is rejected (deletions cannot create view tuples).
+    /// The re-evaluation derives each query's sorted, distinct surviving
+    /// heads with the hash-join evaluator and `ΔD` as its skip set
+    /// ([`heads_without`]), so the database is neither copied nor
+    /// mutated, and it does not consult the IR or the stored witness
+    /// sets: it is an independent check of the shortcut. Each stored view
+    /// and its surviving heads are walked together in head order, with
+    /// `ΔV` walked in step; every stored tuple is compared with its
+    /// prediction, and a surviving head the stored view lacks is rejected
+    /// (deletions cannot create view tuples).
+    ///
+    /// Key preservation is not re-checked here: over `D ∖ ΔD ⊆ D` each
+    /// head's witness sets are a subset of the ones it has over `D`, and
+    /// building the problem (`Problem::new` or `Problem::new_with_fds`)
+    /// already checked that each head has exactly one.
     ///
     /// # Panics
     /// Panics if prediction and re-evaluation disagree (that would be a
@@ -106,24 +112,20 @@ impl Solution {
         let mut demanded = problem.deletions().iter().peekable();
         let mut side_effect = 0.0;
         for (vi, view) in problem.views().views.iter().enumerate() {
-            let reeval = View::materialize_without(problem.db(), &view.query, &gone)
-                .expect("re-materialization of a valid problem cannot fail");
-            let lacks = |nt: &ViewTuple| {
-                format!(
-                    "re-evaluation produced head {}, which stored view V{vi} lacks",
-                    nt.head
-                )
+            let surviving = heads_without(problem.db(), &view.query, &gone);
+            let lacks = |head: &Tuple| {
+                format!("re-evaluation produced head {head}, which stored view V{vi} lacks")
             };
-            let mut fresh = reeval.tuples.iter().peekable();
+            let mut fresh = surviving.iter().peekable();
             for (ti, vt) in view.tuples.iter().enumerate() {
                 let id = ViewTupleId::new(vi, ti);
                 let survived = match fresh.peek() {
-                    Some(nt) if nt.head == vt.head => {
+                    Some(&head) if *head == vt.head => {
                         fresh.next();
                         true
                     }
-                    Some(nt) => {
-                        assert!(nt.head > vt.head, "{}", lacks(nt));
+                    Some(&head) => {
+                        assert!(*head > vt.head, "{}", lacks(head));
                         false
                     }
                     None => false,
@@ -141,8 +143,8 @@ impl Solution {
                     side_effect += problem.weight(id);
                 }
             }
-            if let Some(nt) = fresh.next() {
-                panic!("{}", lacks(nt));
+            if let Some(head) = fresh.next() {
+                panic!("{}", lacks(head));
             }
         }
         side_effect
@@ -169,7 +171,7 @@ impl Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use delprop_query::{parse_query, ViewSet};
+    use delprop_query::{parse_query, ViewSet, ViewTuple};
     use delprop_relation::{tup, Database, RelationSchema, Schema, Tuple, Value};
 
     fn fig1() -> (Problem, Database) {

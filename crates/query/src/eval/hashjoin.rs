@@ -11,7 +11,9 @@
 //! Evaluation runs over `D ∖ gone` for a sorted set of tuple ids `gone`:
 //! the index-build scan skips those tuples, so re-evaluating a query after
 //! a deletion `ΔD` needs no copy of the database. An empty `gone`
-//! evaluates over `D` itself.
+//! evaluates over `D` itself. The join order comes from the sizes in
+//! `D`, so under a non-empty `gone` the matches are those of `D ∖ gone`,
+//! possibly in another order than a copy with `gone` deleted would give.
 
 use super::{CompiledQuery, QueryMatch, Slot};
 use delprop_relation::{Database, RelationId, TupleId, Value};
@@ -31,7 +33,7 @@ pub fn evaluate(db: &Database, query: &CompiledQuery, gone: &[TupleId]) -> Vec<Q
         gone.windows(2).all(|w| w[0] < w[1]),
         "hashjoin::evaluate: `gone` must be strictly ascending"
     );
-    let order = atom_order(db, query, gone);
+    let order = atom_order(db, query);
 
     // Partial matches: assignment + witnesses aligned to `order` prefix.
     let mut partials: Vec<(Vec<Option<Value>>, Vec<TupleId>)> =
@@ -144,21 +146,13 @@ fn gone_in(gone: &[TupleId], rel: RelationId) -> &[TupleId] {
 
 /// Greedy join order: start from the smallest relation, then repeatedly take
 /// the atom sharing the most bound variables (ties: smaller relation).
-/// Sizes count the live tuples of `D ∖ gone`, so the order is the one a
-/// database with `gone` deleted would get.
 #[allow(clippy::needless_range_loop)] // parallel arrays indexed together
-fn atom_order(db: &Database, query: &CompiledQuery, gone: &[TupleId]) -> Vec<usize> {
+fn atom_order(db: &Database, query: &CompiledQuery) -> Vec<usize> {
     let n = query.atoms.len();
     let sizes: Vec<usize> = query
         .atoms
         .iter()
-        .map(|atom| {
-            let live_gone = gone_in(gone, atom.relation)
-                .iter()
-                .filter(|&&t| db.is_live(t))
-                .count();
-            db.relation(atom.relation).len() - live_gone
-        })
+        .map(|atom| db.relation(atom.relation).len())
         .collect();
     let vars_of = |ai: usize| -> Vec<usize> {
         query.atoms[ai]

@@ -26,4 +26,4 @@ mod view;
 pub use ast::{Atom, BoundAtom, BoundQuery, ConjunctiveQuery, Term};
 pub use error::QueryError;
 pub use parse::{parse_atom, parse_program, parse_query};
-pub use view::{View, ViewSet, ViewTuple, ViewTupleId};
+pub use view::{heads_without, View, ViewSet, ViewTuple, ViewTupleId};

@@ -182,6 +182,7 @@ fn classify(e: &CoreError) -> ErrorClass {
         | CoreError::NotKeyPreserving { .. }
         | CoreError::UnknownViewTuple { .. }
         | CoreError::InvalidWeight { .. }
+        | CoreError::InvalidParams { .. }
         | CoreError::FdViolation { .. } => ErrorClass::Permanent,
     }
 }

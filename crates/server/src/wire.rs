@@ -778,7 +778,7 @@ fn size_bound(text: usize, pairs: usize) -> usize {
 const MAX_WIRE_INT: f64 = 9_007_199_254_740_992.0;
 
 /// A wire integer: a number with no fractional part in `0..=2^53`.
-fn wire_int(n: f64, key: &str) -> Result<u64, String> {
+pub(crate) fn wire_int(n: f64, key: &str) -> Result<u64, String> {
     if (0.0..=MAX_WIRE_INT).contains(&n) && n.fract() == 0.0 {
         Ok(n as u64)
     } else {

@@ -136,6 +136,61 @@ fn malformed_requests_get_typed_errors_and_the_connection_survives() {
 }
 
 #[test]
+fn rejected_publishes_keep_the_epoch_and_the_connection() {
+    use delprop_server::wire::{send_frame, FrameBuffer};
+
+    let daemon = Daemon::spawn(fig1_config()).expect("spawn");
+    let mut stream = std::net::TcpStream::connect(daemon.tcp_addr().unwrap()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut frames = FrameBuffer::new();
+    let mut out = Vec::new();
+    let mut ask = |encode: &dyn Fn(&mut Vec<u8>)| {
+        send_frame(&mut stream, &mut out, encode).unwrap();
+        Response::from_bytes(frames.read_from(&mut stream).unwrap().unwrap()).unwrap()
+    };
+
+    // A spec the decoder refuses: negative and fractional counts.
+    let refused = ask(&|o| {
+        o.extend_from_slice(
+            br#"{"op":"publish","spec":{"kind":"forest","chains":-4,"levels":2.7,"seed":-1}}"#,
+        )
+    });
+    match refused {
+        Response::Error { message } => assert!(message.contains("bad request"), "{message}"),
+        other => panic!("expected error, got {other:?}"),
+    }
+
+    // A spec that decodes but that the generator cannot build.
+    let unbuildable = Request::Publish {
+        label: "wide".to_string(),
+        spec: InstanceSpec::Forest {
+            levels: 2,
+            window: 5,
+            chains: 4,
+            delete_fraction: 0.2,
+            weighted: false,
+            seed: 1,
+        },
+    };
+    match ask(&|o| unbuildable.encode(o)) {
+        Response::Error { message } => {
+            assert!(message.contains("publish failed"), "{message}");
+            assert!(message.contains("`window` is 5"), "{message}");
+        }
+        other => panic!("expected error, got {other:?}"),
+    }
+
+    // Nothing was published, and the same connection still serves.
+    match ask(&|o| Request::Health.encode(o)) {
+        Response::Health { epoch, label, .. } => assert_eq!((epoch, label.as_str()), (1, "fig1")),
+        other => panic!("expected health, got {other:?}"),
+    }
+    assert_eq!(daemon.epoch(), 1);
+}
+
+#[test]
 fn admission_sheds_when_slots_are_stalled() {
     // One slot, no queue; a stalling portfolio holds it for the whole
     // deadline, so a concurrent request must shed with `overloaded`.
