@@ -1279,7 +1279,18 @@ impl CompiledInstance {
     /// twin of [`base_mask`](Self::base_mask); non-candidate deletions
     /// have no bit).
     pub fn base_bits(&self, sol: &Solution) -> BitSet {
-        self.tuple_bits(sol.deleted.iter().copied())
+        let mut bits = BitSet::default();
+        self.base_bits_into(sol, &mut bits);
+        bits
+    }
+
+    /// [`base_bits`](Self::base_bits) written into `bits`, reusing its
+    /// allocation: a verifier's mask kept across the shards it checks.
+    pub fn base_bits_into(&self, sol: &Solution, bits: &mut BitSet) {
+        bits.reset(self.num_bases());
+        for b in sol.deleted.iter().filter_map(|&t| self.base_index(t)) {
+            bits.insert(b as usize);
+        }
     }
 
     /// Every tuple of `sol` with its dense base index (`None` for a

@@ -33,6 +33,8 @@ use crate::ir::CompiledInstance;
 use crate::problem::Problem;
 use crate::solution::Solution;
 use crate::solvers::local_search::Objective;
+use delprop_setcover::BitSet;
+use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 
@@ -188,7 +190,7 @@ pub struct Portfolio {
 
 /// How [`Portfolio::dispatch`] runs the chain. Every strategy shares
 /// one containment routine ([`Portfolio::contain`]) and one fold from
-/// per-member slots to the outcome ([`fold`]).
+/// per-member slots to the winner ([`fold`]).
 enum Strategy {
     /// Members in chain order until one verifies.
     First,
@@ -229,6 +231,12 @@ impl Check<'_> {
     fn admits(&self, member: &dyn Solver) -> bool {
         (matches!(self, Check::Problem(_)) || member.shard_local()) && member.applies(self.ir())
     }
+}
+
+thread_local! {
+    /// The shard check's deletion mask: one per thread, refilled for
+    /// every shard output the thread verifies.
+    static SHARD_MASK: Cell<BitSet> = Cell::new(BitSet::default());
 }
 
 /// One member's line of a run: its report entry plus the verified
@@ -398,13 +406,14 @@ impl Portfolio {
 
     /// The per-shard chain: `First` over the shard-local members,
     /// verified against the shard IR. No compile charge — the shard IR
-    /// is assembled by the partitioner, not compiled.
+    /// is assembled by the partitioner, not compiled — and no report: a
+    /// shard keeps only its winner.
     pub(crate) fn solve_shard(
         &self,
         ir: &CompiledInstance,
         budget: &Budget,
-    ) -> Result<PortfolioOutcome, CoreError> {
-        fold(self.run_chain(Check::Shard(ir), budget, true), budget)
+    ) -> Result<Winner, CoreError> {
+        fold(self.run_chain(Check::Shard(ir), budget, true), budget, drop)
     }
 
     /// Compile the shared IR exactly once, up front: every member,
@@ -442,16 +451,21 @@ impl Portfolio {
     ) -> Result<PortfolioOutcome, CoreError> {
         let (compile_micros, compile_ticks) = self.compile_and_charge(problem, budget)?;
         let check = Check::Problem(problem);
-        let outcome = match strategy {
-            Strategy::First => fold(self.run_chain(check, budget, true), budget),
-            Strategy::Best => fold(self.run_chain(check, budget, false), budget),
-            Strategy::Race => fold(self.race(check, budget), budget),
-            Strategy::Shard => fold([self.run_sharded(problem, budget)], budget),
+        let mut report = Vec::with_capacity(self.members.len());
+        let keep = |r| report.push(r);
+        let winner = match strategy {
+            Strategy::First => fold(self.run_chain(check, budget, true), budget, keep),
+            Strategy::Best => fold(self.run_chain(check, budget, false), budget, keep),
+            Strategy::Race => fold(self.race(check, budget), budget, keep),
+            Strategy::Shard => fold([self.run_sharded(problem, budget)], budget, keep),
         }?;
         Ok(PortfolioOutcome {
+            solution: winner.solution,
+            cost: winner.cost,
+            winner: winner.name,
+            report,
             compile_micros,
             compile_ticks,
-            ..outcome
         })
     }
 
@@ -657,16 +671,20 @@ impl Portfolio {
                     }
                 })
             }
-            // One deletion mask serves the feasibility check and the cost.
+            // One deletion mask, the thread's own, serves the
+            // feasibility check and the cost.
             Check::Shard(ir) => {
-                let bits = ir.base_bits(&solution);
-                (!standard || ir.is_feasible_bits(&bits)).then(|| {
+                let mut bits = SHARD_MASK.take();
+                ir.base_bits_into(&solution, &mut bits);
+                let cost = (!standard || ir.is_feasible_bits(&bits)).then(|| {
                     if standard {
                         ir.side_effect_bits(&bits)
                     } else {
                         ir.balanced_cost_bits(&bits)
                     }
-                })
+                });
+                SHARD_MASK.set(bits);
+                cost
             }
         }));
         if let Some(start) = verify_start {
@@ -715,59 +733,64 @@ fn metered(
     slot
 }
 
-/// The one fold from per-member slots to the outcome: the report in
-/// chain order plus the cheapest verified candidate, strict `<` keeping
-/// the earliest member on equal cost; with no verified candidate,
-/// [`failure_error`].
+/// The verified candidate a run picks: its solution and cost, and the
+/// member that produced it, with that member's guarantee.
+pub(crate) struct Winner {
+    pub(crate) solution: Solution,
+    pub(crate) cost: f64,
+    pub(crate) name: &'static str,
+    pub(crate) guarantee: Guarantee,
+}
+
+/// The one fold from per-member slots to the winner: the cheapest
+/// verified candidate, strict `<` keeping the earliest member on equal
+/// cost; with no verified candidate, [`failure_error`]. Every slot's
+/// report entry goes to `keep`, in the order the slots come.
 fn fold(
     slots: impl IntoIterator<Item = Slot>,
     budget: &Budget,
-) -> Result<PortfolioOutcome, CoreError> {
-    let slots = slots.into_iter();
-    let mut report = Vec::with_capacity(slots.size_hint().0);
-    let mut best: Option<(Solution, f64, &'static str)> = None;
+    mut keep: impl FnMut(MemberReport),
+) -> Result<Winner, CoreError> {
+    let mut best: Option<Winner> = None;
+    let (mut tried, mut first_error) = (0, None);
     for slot in slots {
+        let report = slot.report;
         if let Some((solution, cost)) = slot.candidate {
-            if best.as_ref().is_none_or(|(_, c, _)| cost < *c) {
-                best = Some((solution, cost, slot.report.name));
+            if best.as_ref().is_none_or(|w| cost < w.cost) {
+                best = Some(Winner {
+                    solution,
+                    cost,
+                    name: report.name,
+                    guarantee: report.guarantee,
+                });
             }
         }
-        report.push(slot.report);
+        match &report.status {
+            MemberStatus::Skipped => {}
+            MemberStatus::Failed { error } if first_error.is_none() => {
+                tried += 1;
+                first_error = Some(error.clone());
+            }
+            _ => tried += 1,
+        }
+        keep(report);
     }
-    match best {
-        Some((solution, cost, winner)) => Ok(PortfolioOutcome {
-            solution,
-            cost,
-            winner,
-            report,
-            compile_micros: 0,
-            compile_ticks: 0,
-        }),
-        None => Err(failure_error(budget, &report)),
-    }
+    best.ok_or_else(|| failure_error(budget, first_error, tried))
 }
 
 /// No member produced a verified solution: prefer the budget error when
 /// the budget drained (the caller can retry with more), then the first
-/// member's typed error, then a generic infeasibility.
-fn failure_error(budget: &Budget, report: &[MemberReport]) -> CoreError {
+/// member's typed error, then a generic infeasibility naming how many
+/// members were `tried` (not skipped).
+fn failure_error(budget: &Budget, first_error: Option<CoreError>, tried: usize) -> CoreError {
     if budget.is_exhausted() {
         return budget.error();
     }
-    for r in report {
-        if let MemberStatus::Failed { error } = &r.status {
-            return error.clone();
-        }
-    }
-    CoreError::Infeasible {
+    first_error.unwrap_or_else(|| CoreError::Infeasible {
         reason: format!(
-            "no portfolio member produced a verifiable solution ({} members tried)",
-            report
-                .iter()
-                .filter(|r| !matches!(r.status, MemberStatus::Skipped))
-                .count()
+            "no portfolio member produced a verifiable solution ({tried} members tried)"
         ),
-    }
+    })
 }
 
 /// Stable lowercase label for a status, used as span-end trace detail.

@@ -52,15 +52,20 @@ pub fn spin_loop() {
 }
 
 /// Available hardware parallelism, for sizing worker pools built on the
-/// facade (the shard scheduler). Normal builds ask the OS; under the
-/// model it is a fixed 2 so bounded-exhaustive exploration stays finite
-/// and deterministic regardless of the host machine.
+/// facade (the shard scheduler). Normal builds ask the OS once per
+/// process and keep the answer: the query reads cgroup files, which
+/// costs more than a small sharded solve's whole chain. Under the model
+/// it is a fixed 2 so bounded-exhaustive exploration stays finite and
+/// deterministic regardless of the host machine.
 pub fn available_parallelism() -> usize {
     #[cfg(not(delprop_model))]
     {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        *WORKERS.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     }
     #[cfg(delprop_model)]
     {

@@ -52,7 +52,6 @@ use crate::solution::Solution;
 use crate::solvers::local_search::Objective;
 use delprop_setcover::BitSet;
 use partition::Components;
-use std::sync::Mutex;
 
 /// A certified (or degraded) outcome for one shard.
 #[derive(Debug, Clone)]
@@ -125,19 +124,19 @@ pub fn solve_component(
     objective: Objective,
     budget: &Budget,
 ) -> Result<ShardSolve, CoreError> {
+    metrics::SHARD_SOLVES.inc();
     component(&Portfolio::for_objective(objective), ir, budget)
 }
 
 /// One shard through `portfolio`'s shard-local members, first verified
 /// wins. A run that fails because the budget drained or was cancelled
 /// degrades to the shard's incumbent; any other failure is the shard's
-/// typed error.
+/// typed error. The caller counts the shard in `shard.solves`.
 fn component(
     portfolio: &Portfolio,
     ir: &CompiledInstance,
     budget: &Budget,
 ) -> Result<ShardSolve, CoreError> {
-    metrics::SHARD_SOLVES.inc();
     if ir.num_demands() == 0 {
         // Nothing to eliminate; both objectives are optimized by ∅.
         return Ok(ShardSolve {
@@ -149,11 +148,11 @@ fn component(
         });
     }
     match portfolio.solve_shard(ir, budget) {
-        Ok(out) => Ok(ShardSolve {
-            guarantee: out.guarantee(),
-            solution: out.solution,
-            cost: out.cost,
-            member: out.winner,
+        Ok(winner) => Ok(ShardSolve {
+            solution: winner.solution,
+            cost: winner.cost,
+            guarantee: winner.guarantee,
+            member: winner.name,
             degraded: false,
         }),
         // Budget drained or cancelled mid-shard: degrade, don't fail.
@@ -165,9 +164,9 @@ fn component(
 }
 
 /// Partition `ir` into component shards, solve them with the built-in
-/// chain for `objective` on the shard scheduler (each task
-/// drawing from `budget`'s shared pool through its own handle), and
-/// merge.
+/// chain for `objective` on the shard scheduler (each worker
+/// drawing from `budget`'s shared pool through a handle of its own),
+/// and merge.
 ///
 /// The merged cost is re-evaluated on the **full** instance in its
 /// canonical vulnerable order, so it is byte-equal to any unsharded
@@ -210,23 +209,16 @@ pub fn solve_sharded_with(
         });
     }
 
-    let slots: Vec<Mutex<Option<Result<ShardSolve, CoreError>>>> =
-        (0..k).map(|_| Mutex::new(None)).collect();
-    let workers = sync::available_parallelism().min(k);
-    scheduler::run_tasks(k, workers, |t| {
-        let handle = budget.share_labeled("shard");
-        let result = component(portfolio, components.shard(ir, t), &handle);
-        *slots[t].lock().unwrap() = Some(result);
-    });
-
-    let mut per_shard: Vec<ShardSolve> = Vec::with_capacity(k);
-    for slot in slots {
-        let result = slot
-            .into_inner()
-            .unwrap()
-            .expect("the scheduler runs every shard task exactly once");
-        per_shard.push(result?);
-    }
+    // Each worker draws from the pool through one handle of its own and
+    // keeps its results; the scheduler merges them after the join.
+    let results = scheduler::run_tasks(
+        k,
+        sync::available_parallelism(),
+        || budget.share_labeled("shard"),
+        |handle, t| component(portfolio, components.shard(ir, t), handle),
+    );
+    metrics::SHARD_SOLVES.add(k as u64);
+    let per_shard = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     merge_shards(ir, components, per_shard, portfolio.objective())
 }
 

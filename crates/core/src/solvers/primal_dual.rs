@@ -30,13 +30,16 @@
 //! word-parallel against the IR's witness rows, the bottom-up order is the
 //! precomputed [`CompiledInstance::demand_order`], and reverse-delete
 //! counts cuts with packed-row popcounts instead of re-building a
-//! tuple→demands map.
+//! tuple→demands map. These arrays are thread-local scratch that every
+//! run on the thread refills, so a run allocates only what it returns:
+//! a sharded solve runs this once per component shard.
 
 use crate::error::CoreError;
 use crate::ir::CompiledInstance;
 use crate::solution::Solution;
 use delprop_setcover::kernel::words;
 use delprop_setcover::BitSet;
+use std::cell::Cell;
 
 /// Demand processing order (ablation EX-ABL measures the difference).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -82,16 +85,79 @@ pub struct PrimalDualOutcome {
     pub dual_objective: f64,
 }
 
+/// The arrays of one run, dense over the IR's bases and demands. Each
+/// thread keeps one set, which every run on that thread refills, so a
+/// run allocates only what it returns.
+#[derive(Default)]
+struct Scratch {
+    cap: Vec<f64>,
+    load: Vec<f64>,
+    /// Deletions in saturation order.
+    deleted: Vec<u32>,
+    deleted_bits: BitSet,
+    duals: Vec<f64>,
+    cut_count: Vec<usize>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::new(Scratch::default());
+}
+
+/// Refill `v` with `n` zeros, keeping its allocation.
+fn zeroed<T: Clone + Default>(v: &mut Vec<T>, n: usize) {
+    v.clear();
+    v.resize(n, T::default());
+}
+
 /// Run `PrimeDualVSE`.
 ///
 /// Errors with [`CoreError::Infeasible`] iff some demand's witnesses are
 /// all forbidden (possible only with a non-empty `forbidden` set).
-// lint:allow(budget): raise/cleanup passes are bounded by demands x witnesses; the runtime adapter charges the pass coarsely
 pub fn solve(
     ir: &CompiledInstance,
     config: &PrimalDualConfig,
 ) -> Result<PrimalDualOutcome, CoreError> {
+    run(ir, config, |solution, duals| PrimalDualOutcome {
+        solution,
+        duals: duals.to_vec(),
+        dual_objective: duals.iter().sum(),
+    })
+}
+
+/// Convenience: run with the default configuration and return the solution.
+pub fn solve_default(ir: &CompiledInstance) -> Result<Solution, CoreError> {
+    run(ir, &PrimalDualConfig::default(), |solution, _| solution)
+}
+
+/// Run the algorithm on this thread's scratch and hand `finish` the
+/// solution and the final demand duals. A nested run (or one after a
+/// panic unwound through this one) starts from empty scratch.
+fn run<T>(
+    ir: &CompiledInstance,
+    config: &PrimalDualConfig,
+    finish: impl FnOnce(Solution, &[f64]) -> T,
+) -> Result<T, CoreError> {
+    let mut scratch = SCRATCH.take();
+    let out = raise_and_prune(ir, config, &mut scratch).map(|s| finish(s, &scratch.duals));
+    SCRATCH.set(scratch);
+    out
+}
+
+// lint:allow(budget): raise/cleanup passes are bounded by demands x witnesses; the runtime adapter charges the pass coarsely
+fn raise_and_prune(
+    ir: &CompiledInstance,
+    config: &PrimalDualConfig,
+    scratch: &mut Scratch,
+) -> Result<Solution, CoreError> {
     crate::runtime::metrics::SOLVE_PRIMAL_DUAL.inc();
+    let Scratch {
+        cap,
+        load,
+        deleted,
+        deleted_bits,
+        duals,
+        cut_count,
+    } = scratch;
     let counted = |r: u32| -> bool {
         config
             .counted
@@ -108,7 +174,7 @@ pub fn solve(
     let (vulnerable_rows, demand_rows, hit_rows) =
         (ir.vulnerable_rows(), ir.demand_rows(), ir.hit_rows());
     let witness_masks = ir.witness_masks();
-    let mut cap = vec![0.0f64; nb];
+    zeroed(cap, nb);
     for r in 0..ir.num_vulnerable() as u32 {
         if !counted(r) {
             continue;
@@ -139,10 +205,10 @@ pub fn solve(
 
     // Dual-raising phase. The deletion set is a packed mask so the
     // "already cut" test is one word-parallel AND sweep per demand.
-    let mut load = vec![0.0f64; nb];
-    let mut deleted: Vec<u32> = Vec::new(); // in saturation order
-    let mut deleted_bits = BitSet::new(nb);
-    let mut duals = vec![0.0f64; ir.num_demands()];
+    zeroed(load, nb);
+    deleted.clear();
+    deleted_bits.reset(nb);
+    zeroed(duals, ir.num_demands());
     const EPS: f64 = 1e-9;
 
     for &d in order {
@@ -187,44 +253,29 @@ pub fn solve(
         );
     }
 
-    let dual_objective: f64 = duals.iter().sum();
-    let to_solution = |bits: &BitSet| -> Solution {
-        Solution::from_tuples(bits.iter().map(|b| ir.base(b as u32)))
-    };
-
     // Reverse-delete (the paper's pruning loop): drop deletions not needed
     // for feasibility, newest first. Cut multiplicities come from packed
     // popcounts of witness row ∩ deletion mask.
-    if config.skip_reverse_delete {
-        return Ok(PrimalDualOutcome {
-            solution: to_solution(&deleted_bits),
-            duals,
-            dual_objective,
-        });
-    }
-    let mut cut_count: Vec<usize> = (0..ir.num_demands() as u32)
-        .map(|d| words::intersection_count(witness_masks.row(d), deleted_bits.words()))
-        .collect();
-    for &b in deleted.iter().rev() {
-        let still_ok = hit_rows.row(b).iter().all(|&d| cut_count[d as usize] >= 2);
-        if still_ok {
-            deleted_bits.remove(b as usize);
-            for &d in hit_rows.row(b) {
-                cut_count[d as usize] -= 1;
+    if !config.skip_reverse_delete {
+        cut_count.clear();
+        cut_count.extend(
+            (0..ir.num_demands() as u32)
+                .map(|d| words::intersection_count(witness_masks.row(d), deleted_bits.words())),
+        );
+        for &b in deleted.iter().rev() {
+            let still_ok = hit_rows.row(b).iter().all(|&d| cut_count[d as usize] >= 2);
+            if still_ok {
+                deleted_bits.remove(b as usize);
+                for &d in hit_rows.row(b) {
+                    cut_count[d as usize] -= 1;
+                }
             }
         }
     }
 
-    Ok(PrimalDualOutcome {
-        solution: to_solution(&deleted_bits),
-        duals,
-        dual_objective,
-    })
-}
-
-/// Convenience: run with the default configuration and return the solution.
-pub fn solve_default(ir: &CompiledInstance) -> Result<Solution, CoreError> {
-    solve(ir, &PrimalDualConfig::default()).map(|o| o.solution)
+    Ok(Solution::from_tuples(
+        deleted_bits.iter().map(|b| ir.base(b as u32)),
+    ))
 }
 
 #[cfg(test)]

@@ -532,9 +532,10 @@ fn model_dominance_cancellation_protocol() {
 // -------------------------------------------------------------------
 
 /// The whole scheduler end to end under the model scheduler: under
-/// **every** bounded interleaving each task runs exactly once and
-/// `run_tasks` returns only after all of them (the scope join is the
-/// completion barrier).
+/// **every** bounded interleaving each task runs exactly once, each
+/// result is collected exactly once (in task order), each worker builds
+/// its state at most once, and `run_tasks` returns only after all of
+/// them (the scope join is the completion barrier).
 #[test]
 fn model_run_tasks_executes_each_task_exactly_once() {
     use delprop_core::runtime::sync::{AtomicUsize, Ordering};
@@ -542,12 +543,21 @@ fn model_run_tasks_executes_each_task_exactly_once() {
     const TASKS: usize = 3;
     let report = explore(&Config::exhaustive(2, 10_000), || {
         let runs: Vec<AtomicUsize> = (0..TASKS).map(|_| AtomicUsize::new(0)).collect();
-        run_tasks(TASKS, 2, |t| {
-            runs[t].fetch_add(1, Ordering::Relaxed);
-        });
+        let inits = AtomicUsize::new(0);
+        let results = run_tasks(
+            TASKS,
+            2,
+            || inits.fetch_add(1, Ordering::Relaxed),
+            |_, t| {
+                runs[t].fetch_add(1, Ordering::Relaxed);
+                t
+            },
+        );
         for (t, r) in runs.iter().enumerate() {
             assert_eq!(r.load(Ordering::Relaxed), 1, "task {t} run count");
         }
+        assert_eq!(results, [0, 1, 2], "each result collected once");
+        assert!(inits.load(Ordering::Relaxed) <= 2, "one state per worker");
     });
     assert_clean_exhaustive(&report);
 }

@@ -64,6 +64,15 @@ impl BitSet {
         self.blocks.fill(0);
     }
 
+    /// Clear every bit and change the capacity to `capacity`, reusing
+    /// the allocation when it is large enough: scratch sets kept across
+    /// runs on instances of different sizes.
+    pub fn reset(&mut self, capacity: usize) {
+        self.blocks.clear();
+        self.blocks.resize(capacity.div_ceil(64), 0);
+        self.capacity = capacity;
+    }
+
     /// Set bit `i`. Returns whether it was previously unset.
     ///
     /// # Panics
@@ -260,6 +269,18 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.first_unset(), None);
         assert_eq!(s.iter().count(), 0);
+    }
+
+    #[test]
+    fn reset_clears_and_resizes_in_place() {
+        let mut s = BitSet::all_set(130);
+        s.reset(70);
+        assert_eq!((s.capacity(), s.words()), (70, &[0u64, 0][..]));
+        s.insert(69);
+        s.reset(3);
+        assert!(s.is_empty());
+        assert!(!s.contains(69), "no bit past the new capacity");
+        assert_eq!(s, BitSet::new(3));
     }
 
     #[test]
