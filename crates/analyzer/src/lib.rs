@@ -9,13 +9,13 @@
 //! [`baseline`] implements the committed `analyzer.baseline` burn-down
 //! file with stale-suppression checking.
 //!
-//! The rule catalog (see DESIGN.md §16): the eight invariants ported
+//! The rule catalog (see DESIGN.md §16): the six invariants ported
 //! from the old `crates/xtask` line scanner, plus three audits only a
 //! token stream can express —
 //!
 //! - **ordering-justified** — every `Ordering::{Acquire,Release,AcqRel,
-//!   SeqCst,Relaxed}` argument outside `runtime/sync` and `modelcheck`
-//!   carries an adjacent `// ordering:` justification comment;
+//!   SeqCst,Relaxed}` argument outside tests carries an adjacent
+//!   `// ordering:` justification comment;
 //! - **budget-coverage** — every `loop`/`while`/`for` body in
 //!   `crates/setcover`, `crates/lp`, and `crates/core/src/solvers`
 //!   syntactically reaches a `charge`/`tick`/`is_exhausted` call or a

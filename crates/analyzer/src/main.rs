@@ -5,8 +5,8 @@
 //! ```
 //!
 //! A thin CLI over the library (DESIGN.md §16): one shared
-//! token-stream lex per file, eleven rules — the eight legacy
-//! concurrency-hygiene invariants first enforced by a line scanner,
+//! token-stream lex per file, nine rules — the six legacy
+//! invariants first enforced by a line scanner,
 //! plus the ordering-justification, budget-coverage, and
 //! panic-path audits — a committed `analyzer.baseline` burn-down file
 //! with stale-suppression checking, and a machine-readable report at

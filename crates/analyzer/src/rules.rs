@@ -1,4 +1,4 @@
-//! The rule catalog: eight legacy invariants ported from the xtask
+//! The rule catalog: six legacy invariants ported from the xtask
 //! line scanner plus the three span-aware audits the token stream
 //! makes expressible (ordering justification, budget coverage of
 //! solver loops, panic-free serving paths).
@@ -10,15 +10,13 @@ use crate::ctx::{FileCtx, FnSpan};
 use crate::diag::Diagnostic;
 
 /// Stable ids of every rule the engine runs, for reports and docs.
-pub const RULE_IDS: [&str; 11] = [
+pub const RULE_IDS: [&str; 9] = [
     "no-unwrap",
-    "no-raw-atomics",
     "no-raw-clock",
     "safety-comments",
     "no-sleep",
     "no-hash-in-hot-paths",
     "no-direct-compile-in-server",
-    "no-std-thread-in-shard",
     "ordering-justified",
     "budget-coverage",
     "panic-path",
@@ -30,13 +28,11 @@ pub fn check_file(rel: &str, src: &str) -> Vec<Diagnostic> {
     let ctx = FileCtx::new(rel, src);
     let mut out = Vec::new();
     no_unwrap(&ctx, &mut out);
-    no_raw_atomics(&ctx, &mut out);
     no_raw_clock(&ctx, &mut out);
     safety_comments(&ctx, &mut out);
     no_sleep(&ctx, &mut out);
     no_hash_in_hot_paths(&ctx, &mut out);
     no_direct_compile_in_server(&ctx, &mut out);
-    no_std_thread_in_shard(&ctx, &mut out);
     ordering_justified(&ctx, &mut out);
     budget_coverage(&ctx, &mut out);
     panic_path(&ctx, &mut out);
@@ -98,35 +94,6 @@ fn no_unwrap(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
             "no-unwrap",
             "`.unwrap()`/`.expect(` in solver code: return a typed error, or \
              justify with `// lint:allow(unwrap): <reason>`",
-        );
-    }
-}
-
-/// `std::sync::atomic` types must not be named outside the
-/// `runtime::sync` facade (`Ordering` itself is allowed — pure data).
-fn no_raw_atomics(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if ctx.rel.starts_with("crates/modelcheck/") || ctx.rel == "crates/core/src/runtime/sync.rs" {
-        return;
-    }
-    for ci in 0..ctx.code.len() {
-        if !ctx.code_seq(ci, &["std", "::", "sync", "::", "atomic"]) {
-            continue;
-        }
-        if ctx.code_is(ci + 5, "::") && ctx.code_is(ci + 6, "Ordering") {
-            continue; // the one allowed path
-        }
-        let t = *ctx.code_tok(ci);
-        if ctx.allowed(t.line as usize - 1, "atomics") {
-            continue;
-        }
-        push(
-            ctx,
-            out,
-            t.line,
-            t.col,
-            "no-raw-atomics",
-            "raw `std::sync::atomic` outside the `runtime::sync` facade: the \
-             `delprop_model` scheduler cannot see this operation",
         );
     }
 }
@@ -276,34 +243,6 @@ fn no_direct_compile_in_server(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `std::thread` must not be named anywhere in the shard module
-/// (tests included): its concurrency must stay model-checkable.
-fn no_std_thread_in_shard(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if !ctx.rel.starts_with("crates/core/src/shard/") {
-        return;
-    }
-    for ci in 0..ctx.code.len() {
-        if !ctx.code_seq(ci, &["std", "::", "thread"]) {
-            continue;
-        }
-        let t = *ctx.code_tok(ci);
-        if ctx.allowed(t.line as usize - 1, "thread") {
-            continue;
-        }
-        push(
-            ctx,
-            out,
-            t.line,
-            t.col,
-            "no-std-thread-in-shard",
-            "raw `std::thread` in the shard module: spawn through the \
-             `runtime::sync` facade (`sync::thread::scope`) so the \
-             `delprop_model` scheduler can interleave it, or justify with \
-             `// lint:allow(thread): <reason>`",
-        );
-    }
-}
-
 // -------------------------------------------------------------------
 // Span-aware audits (new in the analyzer; inexpressible line-by-line)
 // -------------------------------------------------------------------
@@ -311,16 +250,13 @@ fn no_std_thread_in_shard(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
 const ORDERING_VARIANTS: [&str; 5] = ["Acquire", "Release", "AcqRel", "SeqCst", "Relaxed"];
 
 /// Every atomic `Ordering::{Acquire,Release,AcqRel,SeqCst,Relaxed}`
-/// argument in product code outside the facade and the model checker
-/// must carry an adjacent `// ordering:` justification — on the same
-/// line or in the comment block directly above the call. DESIGN.md §11
+/// argument in product code must carry an adjacent `// ordering:`
+/// justification — on the same line or in the comment block directly
+/// above the call. DESIGN.md §11
 /// promises "every ordering justified at the call site"; this audit
 /// makes the promise checkable.
 fn ordering_justified(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    if ctx.rel == "crates/core/src/runtime/sync.rs"
-        || ctx.rel.starts_with("crates/modelcheck/")
-        || is_test_file(ctx.rel)
-    {
+    if is_test_file(ctx.rel) {
         return;
     }
     for ci in 0..ctx.code.len() {

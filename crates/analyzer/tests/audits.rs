@@ -75,10 +75,12 @@ fn ordering_capitalized_tag_satisfies() {
 }
 
 #[test]
-fn ordering_exempt_in_sync_facade_modelcheck_and_tests() {
+fn ordering_exempt_only_in_tests() {
     let src = "fn f(x: &AtomicU64) { x.load(Ordering::SeqCst); }\n";
-    assert!(scan("crates/core/src/runtime/sync.rs", src).is_empty());
-    assert!(scan("crates/modelcheck/src/atomic.rs", src).is_empty());
+    assert_eq!(
+        scan("crates/core/src/runtime/budget.rs", src),
+        ["1:ordering-justified"]
+    );
     assert!(scan("crates/core/tests/shard_scale.rs", src).is_empty());
     let in_test = "#[cfg(test)]\n\
                    mod tests {\n\
@@ -92,11 +94,7 @@ fn ordering_use_declaration_is_not_an_argument() {
     let src = "use std::sync::atomic::Ordering::{Acquire, Release};\n";
     assert!(scan("crates/core/src/shard/deque.rs", src).is_empty());
     let nested = "use std::sync::atomic::{AtomicU64, Ordering::SeqCst};\n";
-    // no-raw-atomics fires on the AtomicU64 import path, but
-    // ordering-justified must not.
-    assert!(!scan("crates/core/src/ir/mod.rs", nested)
-        .iter()
-        .any(|v| v.ends_with("ordering-justified")));
+    assert!(scan("crates/core/src/ir/mod.rs", nested).is_empty());
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! The xtask line-scanner's rule tests, migrated verbatim onto the
-//! token-stream engine: all seven+one legacy rules must behave
-//! identically on their existing corpus. The `scan` helper mirrors the
+//! token-stream engine: the six legacy rules must behave identically
+//! on their existing corpus. The `scan` helper mirrors the
 //! old xtask one (`"<line>:<rule>"` per finding); inputs and expected
 //! outputs are unchanged from `crates/xtask/src/main.rs` pre-port.
 
@@ -61,48 +61,6 @@ fn sleep_flagged_outside_backoff_fault_and_tests() {
     assert!(scan("crates/server/src/state.rs", justified).is_empty());
     let comment = "// never call thread::sleep here\n";
     assert!(scan("crates/server/src/daemon.rs", comment).is_empty());
-}
-
-#[test]
-fn std_thread_flagged_in_shard_module_even_in_tests() {
-    let src = "fn f() { std::thread::scope(|s| {}); }\n";
-    assert_eq!(
-        scan("crates/core/src/shard/scheduler.rs", src),
-        ["1:no-std-thread-in-shard"]
-    );
-    // Tests in the module are NOT exempt: they must also run under
-    // the model scheduler.
-    let in_test = "#[cfg(test)]\n\
-                   mod tests {\n\
-                       fn g() { std::thread::spawn(|| {}); }\n\
-                   }\n";
-    assert_eq!(
-        scan("crates/core/src/shard/deque.rs", in_test),
-        ["3:no-std-thread-in-shard"]
-    );
-    // The facade path and other modules are fine.
-    let facade = "fn f() { sync::thread::scope(|s| {}); }\n";
-    assert!(scan("crates/core/src/shard/scheduler.rs", facade).is_empty());
-    assert!(scan("crates/core/src/runtime/portfolio.rs", src).is_empty());
-    // A justified exception is honored.
-    let justified = "// lint:allow(thread): std fallback when the facade is compiled out\n\
-                     fn f() { std::thread::scope(|s| {}); }\n";
-    assert!(scan("crates/core/src/shard/mod.rs", justified).is_empty());
-}
-
-#[test]
-fn raw_atomics_flagged_but_ordering_and_facade_allowed() {
-    let import = "use std::sync::atomic::AtomicU64;\n";
-    assert_eq!(
-        scan("crates/core/src/ir/mod.rs", import),
-        ["1:no-raw-atomics"]
-    );
-    assert!(scan("crates/core/src/runtime/sync.rs", import).is_empty());
-    assert!(scan("crates/modelcheck/src/atomic.rs", import).is_empty());
-    let ordering = "use std::sync::atomic::Ordering::Relaxed;\n";
-    assert!(scan("crates/core/src/ir/mod.rs", ordering).is_empty());
-    let comment = "// std::sync::atomic is forbidden here\n";
-    assert!(scan("crates/core/src/ir/mod.rs", comment).is_empty());
 }
 
 #[test]

@@ -8,6 +8,7 @@ use delprop_core::{classify, landscape};
 use delprop_hypergraph::{gyo, Hypergraph};
 use delprop_setcover::exact::ExactConfig;
 use delprop_workload::{cleaning, figures, forest, gadget, random_db, redblue_gen};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// EX-FIG1 — the paper's Fig. 1 worked example, both deletions of §II.C.
@@ -464,20 +465,19 @@ pub fn ex_p1() -> String {
 /// an order of magnitude past its gated sizes, and suppress the
 /// baseline-locked speedup columns, since the committed baselines only
 /// describe the unscaled sweep.
-static SCALE: delprop_core::runtime::sync::AtomicUsize =
-    delprop_core::runtime::sync::AtomicUsize::new(1);
+static SCALE: AtomicUsize = AtomicUsize::new(1);
 
 /// Set the workload scale factor (panics on 0).
 pub fn set_scale(factor: usize) {
     assert!(factor >= 1, "--scale must be at least 1");
     // ordering: Relaxed — set once from main before any sweep thread
     // reads it; no other data rides on this store.
-    SCALE.store(factor, delprop_core::runtime::sync::Ordering::Relaxed);
+    SCALE.store(factor, Ordering::Relaxed);
 }
 
 /// The current workload scale factor.
 pub fn scale() -> usize {
-    SCALE.load(delprop_core::runtime::sync::Ordering::Relaxed) // ordering: plain config read, set before sweeps start
+    SCALE.load(Ordering::Relaxed) // ordering: plain config read, set before sweeps start
 }
 
 /// EX-KERN — the packed-kernel hot paths on the EX-P1 sweep: bitset

@@ -13,7 +13,7 @@
 //! from the same pool, so a member that burns the pool leaves less for
 //! the fallbacks — which is exactly the semantics a latency-bound caller
 //! wants. Sharing is explicit: [`Budget::share`] hands out another
-//! handle on the **same** atomic pool (the handle carries its own local
+//! handle on the **same** pool (the handle carries its own local
 //! tick meter and its own cancellation flag). `Budget` deliberately does
 //! not implement `Clone` — a clone would be ambiguous between "same
 //! pool" and "forked pool", and a silently forked pool doubles the
@@ -27,12 +27,14 @@
 //!
 //! Handles are `Send + Sync`, so racing portfolio members on separate
 //! threads can each hold a share of one pool; a charge on any handle is
-//! visible to all of them. Each handle also carries a **cooperative
-//! cancellation token**: [`Budget::cancel`] makes every later checkpoint
-//! on that handle fail with [`CoreError::Cancelled`], which is how a
-//! racing run tells the losing members to unwind at their next
-//! checkpoint ([`Budget::cancel_with_cause`] additionally records *who*
-//! requested the cancellation, so traces can name the winner).
+//! visible to all of them. The pool's tick count, clock-check schedule
+//! and exhaustion flag sit under one `Mutex`, so a charge admits or
+//! refuses its ticks in one critical section. Each handle also carries a
+//! **cooperative cancellation token**: [`Budget::cancel`] makes every
+//! later checkpoint on that handle fail with [`CoreError::Cancelled`],
+//! which is how a racing run tells the losing members to unwind at their
+//! next checkpoint ([`Budget::cancel_with_cause`] additionally records
+//! *who* requested the cancellation, so traces can name the winner).
 //!
 //! The pool can also carry a [`TraceSink`] ([`Budget::with_sink`]):
 //! every handle then reports batched tick checkpoints, spans, and
@@ -40,11 +42,11 @@
 //! no global state, and costs a single `Option` check when off.
 
 use super::metrics;
-use super::sync::{AtomicBool, AtomicU64, Ordering};
 use super::trace::{self, Kind, Phase, Span, TraceEvent, TraceSink};
 use crate::error::CoreError;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The runtime's only wall-clock read. Everything in `delprop-core`
@@ -71,17 +73,15 @@ const DEADLINE_CHECK_EVERY: u64 = 1024;
 const TRACE_TICK_BATCH: u64 = 1024;
 
 /// How many charge-free [`Budget::poll`]s may elapse between wall-clock
-/// checks on a deadline pool. Polls are cheaper than charges (no CAS on
-/// the shared counter), so they can afford a tighter clock cadence.
+/// checks on a deadline pool. Polls draw nothing from the pool, so they
+/// can afford a tighter clock cadence.
 const POLL_DEADLINE_CHECK_EVERY: u64 = 64;
 
 /// The shared pool behind one or more [`Budget`] handles.
 struct Pool {
-    used: AtomicU64,
+    state: Mutex<PoolState>,
     limit: Option<u64>,
     deadline: Option<Instant>,
-    next_deadline_check: AtomicU64,
-    exhausted: AtomicBool,
     /// Pool-wide cooperative cancellation: set by [`Budget::cancel_all`]
     /// on any handle, observed by every handle's checkpoints. This is
     /// the request-scoped kill switch the serving layer pulls on client
@@ -94,13 +94,74 @@ struct Pool {
     sink: Option<Arc<dyn TraceSink>>,
 }
 
+/// What a charge reads and writes, all under the pool's one lock.
+#[derive(Debug)]
+struct PoolState {
+    /// Ticks admitted so far, across all handles; never above the limit.
+    used: u64,
+    /// The `used` value at or past which the next charge reads the clock.
+    next_deadline_check: u64,
+    /// Sticky: once a checkpoint has failed, every later charge fails.
+    exhausted: bool,
+}
+
+impl PoolState {
+    /// Admit `n` ticks unless the pool is exhausted, they overrun
+    /// `limit`, or — when a clock check is due — `deadline` has passed.
+    /// A refusal leaves `used` untouched.
+    fn admit(&mut self, n: u64, limit: Option<u64>, deadline: Option<Instant>) -> bool {
+        let next = self.used.saturating_add(n);
+        if self.exhausted || limit.is_some_and(|limit| next > limit) {
+            return false;
+        }
+        if let Some(deadline) = deadline {
+            if next >= self.next_deadline_check {
+                self.next_deadline_check = next.saturating_add(DEADLINE_CHECK_EVERY);
+                if now() >= deadline {
+                    return false;
+                }
+            }
+        }
+        self.used = next;
+        true
+    }
+
+    /// Set the sticky exhaustion flag. Returns whether this call set it,
+    /// and the ticks used.
+    fn exhaust(&mut self) -> (bool, u64) {
+        (!std::mem::replace(&mut self.exhausted, true), self.used)
+    }
+}
+
+impl Pool {
+    fn new(limit: Option<u64>) -> Self {
+        Pool {
+            state: Mutex::new(PoolState {
+                used: 0,
+                next_deadline_check: 0,
+                exhausted: false,
+            }),
+            limit,
+            deadline: None,
+            cancelled: AtomicBool::new(false),
+            cancel_cause: OnceLock::new(),
+            sink: None,
+        }
+    }
+
+    /// The critical sections never panic, so a poisoned lock still
+    /// holds a consistent state.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 impl fmt::Debug for Pool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Pool")
-            .field("used", &self.used.load(Ordering::Relaxed))
+            .field("state", &*self.lock())
             .field("limit", &self.limit)
             .field("deadline", &self.deadline)
-            .field("exhausted", &self.exhausted.load(Ordering::Relaxed))
             .field("traced", &self.sink.is_some())
             .finish()
     }
@@ -108,7 +169,7 @@ impl fmt::Debug for Pool {
 
 /// A cooperative work budget (tick counter + optional deadline).
 ///
-/// One handle onto a shared atomic pool. [`Budget::share`] creates more
+/// One handle onto a shared pool. [`Budget::share`] creates more
 /// handles on the same pool; there is intentionally no `Clone`.
 #[derive(Debug)]
 pub struct Budget {
@@ -146,41 +207,25 @@ impl Budget {
 
     /// No limits: checkpoints never fail (unless [`cancel`led](Budget::cancel)).
     pub fn unlimited() -> Self {
-        Budget::from_pool(Pool {
-            used: AtomicU64::new(0),
-            limit: None,
-            deadline: None,
-            next_deadline_check: AtomicU64::new(0),
-            exhausted: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
-            cancel_cause: OnceLock::new(),
-            sink: None,
-        })
+        Budget::from_pool(Pool::new(None))
     }
 
     /// A deterministic tick limit and no deadline.
     pub fn with_ticks(limit: u64) -> Self {
-        Budget::from_pool(Pool {
-            used: AtomicU64::new(0),
-            limit: Some(limit),
-            deadline: None,
-            next_deadline_check: AtomicU64::new(0),
-            exhausted: AtomicBool::new(false),
-            cancelled: AtomicBool::new(false),
-            cancel_cause: OnceLock::new(),
-            sink: None,
-        })
+        Budget::from_pool(Pool::new(Some(limit)))
     }
 
     /// Add a wall-clock deadline `timeout` from now. Combines with any
-    /// tick limit: whichever fires first exhausts the budget.
+    /// tick limit: whichever fires first exhausts the budget. A timeout
+    /// too large for any [`Instant`] to represent (such as
+    /// [`Duration::MAX`]) sets no deadline.
     ///
     /// Call this before [`Budget::share`]: it requires sole ownership of
     /// the pool and panics if other handles already exist.
     pub fn with_deadline(mut self, timeout: Duration) -> Self {
         let pool = Arc::get_mut(&mut self.pool)
             .expect("Budget::with_deadline must be called before Budget::share");
-        pool.deadline = Some(now() + timeout);
+        pool.deadline = now().checked_add(timeout);
         self
     }
 
@@ -222,18 +267,14 @@ impl Budget {
 
     /// Ticks charged so far on the shared pool (across all handles).
     pub fn used(&self) -> u64 {
-        // Ordering: Relaxed. `used` is a plain counter — no other memory
-        // is published through it, and the clamp-at-limit invariant
-        // comes from CAS atomicity in `charge`, not from ordering.
-        self.pool.used.load(Ordering::Relaxed)
+        self.pool.lock().used
     }
 
     /// Ticks charged successfully through *this handle* only. Equal to
     /// [`Budget::used`] when the pool has a single handle; under racing
     /// this is the per-member share of the pool.
     pub fn own_used(&self) -> u64 {
-        // Ordering: Relaxed — same plain-counter reasoning as `used`,
-        // and `local_used` is only ever written through this handle.
+        // Ordering: Relaxed — a plain counter; no other memory is published through it.
         self.local_used.load(Ordering::Relaxed)
     }
 
@@ -247,24 +288,14 @@ impl Budget {
 
     /// Whether a checkpoint has already failed on this pool.
     pub fn is_exhausted(&self) -> bool {
-        // Ordering: Acquire, pairing with the Release swap in
-        // `mark_exhausted` — a thread that observes `true` also
-        // observes the deadline rollback `fetch_sub`s that preceded the
-        // flag flip, so `used()` never transiently includes rolled-back
-        // ticks on the observer's side.
-        self.pool.exhausted.load(Ordering::Acquire)
+        self.pool.lock().exhausted
     }
 
     /// Cooperatively cancel **this handle**: every later charge on it
     /// fails with [`CoreError::Cancelled`]. Other handles on the same
     /// pool are unaffected — this is per-member, not pool-wide.
     pub fn cancel(&self) {
-        // Ordering: Release (downgraded from a gratuitous AcqRel during
-        // the model-checker port; this side publishes, it reads nothing
-        // through the flag). Pairs with the Acquire load in
-        // `is_cancelled` so the `cancel_cause` recorded just before
-        // this swap in `cancel_with_cause` is visible to any thread
-        // that observed the cancellation.
+        // Ordering: Release — publishes the `cancel_cause` set before it to `is_cancelled`'s Acquire.
         if !self.cancelled.swap(true, Ordering::Release) {
             metrics::CANCELLATIONS.inc();
         }
@@ -287,9 +318,7 @@ impl Budget {
     /// racing portfolio at once where [`Budget::cancel`] would stop only
     /// one member's handle.
     pub fn cancel_all(&self) {
-        // Ordering: Release, pairing with the Acquire load in
-        // `is_cancelled` — same monotone sticky-flag protocol as the
-        // per-handle token, and the same publish-only reasoning.
+        // Ordering: Release — same sticky, publish-only flag as the per-handle token.
         if !self.pool.cancelled.swap(true, Ordering::Release) {
             metrics::CANCELLATIONS.inc();
             self.trace(Phase::Cancel, Kind::Event, "cancel_all", self.used());
@@ -306,11 +335,7 @@ impl Budget {
     /// Whether [`Budget::cancel`] has been called on this handle, or
     /// [`Budget::cancel_all`] on any handle of the pool.
     pub fn is_cancelled(&self) -> bool {
-        // Ordering: Acquire, pairing with the Release swaps in `cancel`
-        // and `cancel_all` (see there); makes the cancel cause visible
-        // once `true` is observed. Monotone: `true` is sticky, so a
-        // stale `false` only delays the next checkpoint's refusal,
-        // never un-cancels.
+        // Ordering: Acquire, pairing with the Release swaps in `cancel` and `cancel_all`.
         self.cancelled.load(Ordering::Acquire) || self.pool.cancelled.load(Ordering::Acquire)
     }
 
@@ -333,58 +358,21 @@ impl Budget {
         if self.is_cancelled() {
             return Err(self.error());
         }
-        if self.is_exhausted() {
-            return Err(self.error());
-        }
         let pool = &*self.pool;
-        // CAS loop: admit the charge only if it fits under the limit, so
-        // a refusal leaves `used` clamped at (or below) the limit.
-        //
-        // Ordering: Relaxed on both the RMW and the reload leg. The
-        // admit decision needs only the atomicity of the CAS itself
-        // (read-modify-write on one location); no other memory is
-        // published through `used`, so stronger orderings would buy
-        // nothing. The model suite (`crates/core/tests/model.rs`)
-        // checks the clamp and no-lost-tick invariants under every
-        // bounded interleaving.
-        #[cfg(not(delprop_model_bug))]
-        let admit = pool
-            .used
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |used| {
-                let next = used.saturating_add(n);
-                match pool.limit {
-                    Some(limit) if next > limit => None,
-                    _ => Some(next),
-                }
-            });
-        // The pre-PR 3 over-accounting bug, re-injected for the model
-        // checker's regression test (`model_bug.rs`): the admit check
-        // and the counter update are separate atomic operations, so two
-        // racing handles can both pass the check against the same stale
-        // `used` and one increment overwrites the other — ticks vanish
-        // from the pool meter and the limit can be oversubscribed. Only
-        // compiled under `--cfg delprop_model_bug`; never in real builds.
-        #[cfg(delprop_model_bug)]
-        let admit: Result<u64, u64> = {
-            let used = pool.used.load(Ordering::Relaxed);
-            let next = used.saturating_add(n);
-            match pool.limit {
-                Some(limit) if next > limit => Err(used),
-                _ => {
-                    pool.used.store(next, Ordering::Relaxed);
-                    Ok(used)
-                }
+        // One critical section admits or refuses; metrics and the trace
+        // sink run after the guard drops.
+        let refusal = {
+            let mut state = pool.lock();
+            if state.admit(n, pool.limit, pool.deadline) {
+                None
+            } else {
+                Some(state.exhaust())
             }
         };
-        let used = match admit {
-            Ok(prev) => prev.saturating_add(n),
-            Err(_) => {
-                self.mark_exhausted();
-                return Err(self.error());
-            }
-        };
-        // Ordering: Relaxed — single-writer counter (this handle), read
-        // back only for reporting.
+        if let Some((first, used)) = refusal {
+            return Err(self.refused(first, used));
+        }
+        // Ordering: Relaxed — a plain counter; no other memory is published through it.
         let local_prev = self.local_used.fetch_add(n, Ordering::Relaxed);
         if pool.sink.is_some()
             && local_prev / TRACE_TICK_BATCH != (local_prev + n) / TRACE_TICK_BATCH
@@ -396,47 +384,17 @@ impl Budget {
             metrics::BUDGET_TICKS.add(TRACE_TICK_BATCH);
             self.trace(Phase::Budget, Kind::Count, "", local_prev + n);
         }
-        if let Some(deadline) = pool.deadline {
-            // Ordering: Relaxed on both the throttle load and store.
-            // `next_deadline_check` is a heuristic rate limiter — racing
-            // handles may each schedule their own next check, which only
-            // means the clock is read a little more or less often than
-            // every DEADLINE_CHECK_EVERY ticks; exhaustion correctness
-            // never depends on it.
-            if used >= pool.next_deadline_check.load(Ordering::Relaxed) {
-                pool.next_deadline_check
-                    .store(used + DEADLINE_CHECK_EVERY, Ordering::Relaxed);
-                if now() >= deadline {
-                    // Roll the refused work back out of both meters so a
-                    // deadline-only exhaustion reports the ticks that
-                    // actually ran (0 at the first checkpoint).
-                    //
-                    // Ordering: Relaxed — the rollback is made visible
-                    // to exhaustion observers by the Release swap in
-                    // `mark_exhausted` below, sequenced after it.
-                    pool.used.fetch_sub(n, Ordering::Relaxed);
-                    self.local_used.fetch_sub(n, Ordering::Relaxed);
-                    self.mark_exhausted();
-                    return Err(self.error());
-                }
-            }
-        }
         Ok(())
     }
 
-    /// Flip the sticky exhaustion flag, counting and tracing the first
-    /// transition only.
-    fn mark_exhausted(&self) {
-        // Ordering: Release (downgraded from a gratuitous AcqRel during
-        // the model-checker port; nothing is read through the flag on
-        // this side). Pairs with the Acquire load in `is_exhausted`, so
-        // observers of `true` also see the deadline rollback performed
-        // just before this swap. The swap's atomicity alone guarantees
-        // the once-only metrics/trace transition.
-        if !self.pool.exhausted.swap(true, Ordering::Release) {
+    /// The error of a refused checkpoint, counting and tracing the first
+    /// exhaustion only. Exhaustion wins over cancellation.
+    fn refused(&self, first: bool, used: u64) -> CoreError {
+        if first {
             metrics::BUDGET_EXHAUSTIONS.inc();
-            self.trace(Phase::Budget, Kind::Event, "exhausted", self.used());
+            self.trace(Phase::Budget, Kind::Event, "exhausted", used);
         }
+        CoreError::BudgetExhausted { ticks: used }
     }
 
     /// Charge a single tick — the common checkpoint call.
@@ -458,15 +416,12 @@ impl Budget {
             return Err(self.error());
         }
         if let Some(deadline) = self.pool.deadline {
-            // Ordering: Relaxed — `polls` is a per-handle rate limiter
-            // with no cross-location invariants; a racing reader at
-            // worst checks the clock one call early or late.
+            // Ordering: Relaxed — a per-handle rate limiter; a stale count moves one clock read.
             let n = self.polls.fetch_add(1, Ordering::Relaxed);
             if n.is_multiple_of(POLL_DEADLINE_CHECK_EVERY) && now() >= deadline {
-                // Nothing was charged, so there is nothing to roll
-                // back; just trip the sticky flag.
-                self.mark_exhausted();
-                return Err(self.error());
+                // Nothing was charged; just trip the sticky flag.
+                let (first, used) = self.pool.lock().exhaust();
+                return Err(self.refused(first, used));
             }
         }
         Ok(())
@@ -476,10 +431,14 @@ impl Budget {
     /// when this handle was cancelled (and the pool still has budget),
     /// otherwise [`CoreError::BudgetExhausted`].
     pub fn error(&self) -> CoreError {
-        if self.is_cancelled() && !self.is_exhausted() {
-            CoreError::Cancelled { ticks: self.used() }
+        let (used, exhausted) = {
+            let state = self.pool.lock();
+            (state.used, state.exhausted)
+        };
+        if self.is_cancelled() && !exhausted {
+            CoreError::Cancelled { ticks: used }
         } else {
-            CoreError::BudgetExhausted { ticks: self.used() }
+            CoreError::BudgetExhausted { ticks: used }
         }
     }
 
@@ -777,6 +736,128 @@ mod tests {
         });
         assert_eq!(a.used(), THREADS * PER_THREAD, "no tick lost or duplicated");
         assert!(!a.is_exhausted());
+    }
+
+    /// Sum of the per-handle meters of `handles`.
+    fn own_total(handles: &[Budget]) -> u64 {
+        handles.iter().map(Budget::own_used).sum()
+    }
+
+    #[test]
+    fn contended_charges_clamp_at_the_limit() {
+        // Each thread alone could fill the pool: the limit is less than
+        // half the total demand, so the threads race for the last ticks.
+        const THREADS: u64 = if cfg!(miri) { 2 } else { 4 };
+        const PER_THREAD: u64 = if cfg!(miri) { 64 } else { 5_000 };
+        const CHARGE: u64 = 3;
+        let limit = CHARGE * THREADS * PER_THREAD / 2 + 1;
+        let a = Budget::with_ticks(limit);
+        let handles: Vec<Budget> = (0..THREADS).map(|_| a.share()).collect();
+        std::thread::scope(|s| {
+            for h in &handles {
+                s.spawn(move || {
+                    for _ in 0..PER_THREAD {
+                        if h.charge(CHARGE).is_err() {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        let used = a.used();
+        assert!(used <= limit, "{used} ticks admitted past {limit}");
+        assert!(used + CHARGE > limit, "refused while a charge still fit");
+        assert_eq!(used, own_total(&handles), "no tick lost or duplicated");
+        assert!(a.is_exhausted());
+    }
+
+    #[test]
+    fn exhaustion_is_sticky_for_sibling_threads() {
+        // The limit is never reached: a sibling's one-tick charges fit
+        // numerically, so only the sticky flag can refuse them.
+        const THREADS: usize = if cfg!(miri) { 2 } else { 4 };
+        const ROUNDS: usize = if cfg!(miri) { 16 } else { 1_000 };
+        const LIMIT: u64 = 1 << 40;
+        let a = Budget::with_ticks(LIMIT);
+        let siblings: Vec<Budget> = (0..THREADS).map(|_| a.share()).collect();
+        std::thread::scope(|s| {
+            for h in &siblings {
+                s.spawn(move || {
+                    while h.checkpoint().is_ok() {
+                        std::hint::spin_loop();
+                    }
+                    for _ in 0..ROUNDS {
+                        assert!(h.is_exhausted());
+                        assert!(matches!(
+                            h.checkpoint(),
+                            Err(CoreError::BudgetExhausted { .. })
+                        ));
+                    }
+                });
+            }
+            assert!(a.charge(LIMIT + 1).is_err());
+        });
+        assert!(a.used() < LIMIT);
+        assert_eq!(a.used(), own_total(&siblings), "refusals admit nothing");
+    }
+
+    #[test]
+    fn deadline_refusals_keep_the_meters_consistent() {
+        const THREADS: u64 = if cfg!(miri) { 2 } else { 4 };
+        let a = Budget::unlimited().with_deadline(Duration::from_millis(2));
+        let handles: Vec<Budget> = (0..THREADS).map(|_| a.share()).collect();
+        std::thread::scope(|s| {
+            for h in &handles {
+                // Seven ticks a charge, so clock checks fall mid-charge.
+                s.spawn(move || while h.charge(7).is_ok() {});
+            }
+        });
+        assert!(a.is_exhausted());
+        assert!(a.checkpoint().is_err());
+        assert_eq!(
+            a.used(),
+            own_total(&handles),
+            "a refused charge ran nothing"
+        );
+    }
+
+    #[test]
+    fn cancellation_reaches_sibling_threads() {
+        const THREADS: usize = if cfg!(miri) { 2 } else { 4 };
+        let a = Budget::unlimited();
+        let siblings: Vec<Budget> = (0..THREADS).map(|_| a.share()).collect();
+        let bystander = a.share();
+        siblings[0].cancel_with_cause("winner");
+        std::thread::scope(|s| {
+            for h in &siblings {
+                s.spawn(move || {
+                    while h.checkpoint().is_ok() {
+                        std::hint::spin_loop();
+                    }
+                    // Monotone: once refused, refused for good.
+                    for _ in 0..16 {
+                        assert!(matches!(h.checkpoint(), Err(CoreError::Cancelled { .. })));
+                    }
+                });
+            }
+            // A per-handle cancel stops no sibling; the pool-wide one
+            // stops them all.
+            bystander.checkpoint().unwrap();
+            a.cancel_all_with_cause("deadline");
+        });
+        assert_eq!(siblings[0].cancel_cause(), Some("winner"));
+        assert_eq!(siblings[1].cancel_cause(), Some("deadline"));
+        assert!(bystander.is_cancelled() && a.share().is_cancelled());
+        assert_eq!(a.used(), own_total(&siblings) + bystander.own_used());
+    }
+
+    #[test]
+    fn unrepresentable_deadline_means_none() {
+        let b = Budget::with_ticks(10).with_deadline(Duration::MAX);
+        b.checkpoint().unwrap();
+        b.poll().unwrap();
+        assert_eq!(b.used(), 1);
+        assert!(!b.is_exhausted());
     }
 
     use super::super::trace::RingBufferSink;

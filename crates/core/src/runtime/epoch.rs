@@ -13,11 +13,10 @@
 //! if that was the last reference, dropping an engine never holds up
 //! readers.
 //!
-//! `crates/core/tests/model.rs` runs the cell's contract (untorn
-//! payloads, epoch numbers matching payloads and never running
-//! backwards, retired guards intact) under the deterministic model
-//! checker; each critical section is one step there, as it contains no
-//! facade operation.
+//! `concurrent_readers_and_writer_tear_nothing` checks the cell's
+//! contract across threads (untorn payloads, epoch numbers matching
+//! payloads and never running backwards, retired guards intact); Miri
+//! and ThreadSanitizer run it too.
 
 use std::fmt;
 use std::ops::Deref;
@@ -157,25 +156,29 @@ mod tests {
 
     #[test]
     fn concurrent_readers_and_writer_tear_nothing() {
-        // Stress (not model) version of the model invariant: pairs
-        // published together are read together. Miri runs this test
-        // too; the model suite covers the interleavings.
+        // Pairs published together are read together, each guard's
+        // epoch matches its payload, and a guard held across later
+        // publishes still reads what it pinned. Miri runs this test too.
         const PUBLISHES: u64 = if cfg!(miri) { 20 } else { 2_000 };
         const READERS: usize = if cfg!(miri) { 2 } else { 4 };
         let cell = EpochCell::new((0u64, 0u64));
         std::thread::scope(|s| {
             for _ in 0..READERS {
                 s.spawn(|| {
-                    let mut last_epoch = 0;
+                    // The previous guard stays held while the next is
+                    // taken, so later publishes may retire it meanwhile.
+                    let mut held = cell.snapshot();
                     loop {
                         let snap = cell.snapshot();
                         let (a, b) = *snap;
                         assert_eq!(a, b, "torn epoch payload");
-                        assert!(snap.epoch() >= last_epoch, "epoch went backwards");
-                        last_epoch = snap.epoch();
+                        assert_eq!(snap.epoch(), a + 1, "epoch does not match payload");
+                        assert!(snap.epoch() >= held.epoch(), "epoch went backwards");
+                        assert_eq!(held.epoch(), held.0 + 1, "retired guard changed");
                         if a == PUBLISHES {
                             break;
                         }
+                        held = snap;
                         std::hint::spin_loop();
                     }
                 });

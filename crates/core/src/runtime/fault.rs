@@ -18,7 +18,7 @@ use delprop_relation::{RelationId, TupleId};
 
 use super::budget::Budget;
 use super::solver::{Guarantee, Solver};
-use super::sync::{self, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The failure to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,9 +70,8 @@ pub struct FaultySolver<S> {
     inner: S,
     mode: FaultMode,
     /// Solve calls seen so far — drives the stateful modes
-    /// ([`FaultMode::Transient`], [`FaultMode::SlowStart`]); through the
-    /// sync facade because racing members share one wrapper across
-    /// threads.
+    /// ([`FaultMode::Transient`], [`FaultMode::SlowStart`]); atomic
+    /// because racing members share one wrapper across threads.
     attempts: AtomicU64,
 }
 
@@ -138,7 +137,7 @@ impl<S: Solver> Solver for FaultySolver<S> {
                 // pool and never outlives its request's deadline.
                 budget.poll()?;
                 budget.checkpoint()?;
-                sync::spin_loop();
+                std::hint::spin_loop();
             },
             FaultMode::ExhaustBudget => {
                 // Two charges: the first fills the pool exactly to its

@@ -16,11 +16,9 @@
 //! `observe` is two `fetch_add`s and a bucket increment — cheap enough
 //! for per-member timings on the racing path.
 
-// Through the facade (not `std::sync::atomic` — the analyzer's lint
-// enforces this), so model builds count through instrumented atomics
-// too. All operations here are Relaxed: metrics are independent
-// monotone counters with no cross-location invariants to order.
-use super::sync::{AtomicU64, Ordering};
+// All operations here are Relaxed: metrics are independent monotone
+// counters with no cross-location invariants to order.
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of log2 buckets. Bucket 23 is open-ended and starts at
 /// `2^23` µs ≈ 8.4 s, comfortably above any single solver phase.

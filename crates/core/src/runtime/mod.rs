@@ -7,7 +7,7 @@
 //! all of them:
 //!
 //! - [`Budget`] — deterministic work-tick counter plus optional
-//!   wall-clock deadline on an atomic shared pool, threaded
+//!   wall-clock deadline on a shared pool, threaded
 //!   cooperatively into every hot loop (branch-and-bound nodes, simplex
 //!   pivots, local-search moves); [`Budget::share`] hands out more
 //!   handles on the same pool, each with its own cancellation token;
@@ -72,7 +72,6 @@ mod fault;
 pub mod metrics;
 mod portfolio;
 pub mod solver;
-pub mod sync;
 pub mod trace;
 
 pub use budget::{now, Budget};

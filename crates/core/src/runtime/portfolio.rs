@@ -44,7 +44,6 @@ use super::solver::{
     DpTreeSolver, GeneralBalancedSolver, GeneralSolver, GreedySolver, Guarantee, LowDegTreeSolver,
     LpRoundSolver, PrimalDualBalancedSolver, PrimalDualSolver, SingleQuerySolver, Solver,
 };
-use super::sync;
 use super::trace::{Kind, Phase};
 
 /// What happened to one member during a portfolio run.
@@ -535,7 +534,7 @@ impl Portfolio {
             .map(|(m, &g)| Slot::unmetered(m.name(), g, (MemberStatus::Skipped, None)))
             .collect();
 
-        sync::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for ((i, member), slot) in self.members.iter().enumerate().zip(slots.iter_mut()) {
                 if !eligible[i] {
                     continue;

@@ -30,11 +30,11 @@
 //! that makes the interleaving reconstructible after the fact.
 
 use super::budget::{self, Budget};
-use super::sync::{AtomicU64, Ordering};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 

@@ -46,7 +46,6 @@ pub use scheduler::run_tasks;
 use crate::error::CoreError;
 use crate::ir::CompiledInstance;
 use crate::runtime::metrics;
-use crate::runtime::sync;
 use crate::runtime::{Budget, Guarantee, Portfolio};
 use crate::solution::Solution;
 use crate::solvers::local_search::Objective;
@@ -213,13 +212,26 @@ pub fn solve_sharded_with(
     // keeps its results; the scheduler merges them after the join.
     let results = scheduler::run_tasks(
         k,
-        sync::available_parallelism(),
+        available_parallelism(),
         || budget.share_labeled("shard"),
         |handle, t| component(portfolio, components.shard(ir, t), handle),
     );
     metrics::SHARD_SOLVES.add(k as u64);
     let per_shard = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     merge_shards(ir, components, per_shard, portfolio.objective())
+}
+
+/// Available hardware parallelism, for sizing the shard scheduler's
+/// workers. Asked of the OS once per process and kept: the query reads
+/// cgroup files, which costs more than a small sharded solve's whole
+/// chain.
+fn available_parallelism() -> usize {
+    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Merge certified per-shard outcomes into one [`ShardedOutcome`]:

@@ -11,21 +11,15 @@
 //! its state once, before its first task, and keeps its results in a
 //! list of its own, which the join hands back to be merged. Tasks share
 //! no slot, lock or counter.
-//!
-//! Everything runs on the `runtime/sync` facade, so
-//! `--cfg delprop_model` builds explore the scheduler (spawn, cursor,
-//! join) under the deterministic model checker;
-//! `crates/core/tests/model.rs` asserts no task is lost or run twice,
-//! and no result lost or collected twice, across every bounded schedule.
 
-use crate::runtime::sync::{self, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Run `run(state, task)` for every task in `0..num_tasks` across up to
 /// `workers` threads, each task exactly once, in unspecified order, and
 /// return the results in task order. Each worker builds its `state` with
 /// `init` once, before its first task. The calling thread is worker 0;
-/// at most `min(workers, num_tasks) - 1` scoped threads are spawned
-/// through the facade, so one worker (or one task) spawns nothing.
+/// at most `min(workers, num_tasks) - 1` scoped threads are spawned,
+/// so one worker (or one task) spawns nothing.
 pub fn run_tasks<S, R, I, F>(num_tasks: usize, workers: usize, init: I, run: F) -> Vec<R>
 where
     I: Fn() -> S + Sync,
@@ -48,7 +42,7 @@ where
     };
 
     let mut results = Vec::with_capacity(num_tasks);
-    sync::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let spawned: Vec<_> = (1..workers.min(num_tasks))
             .map(|_| {
                 scope.spawn(|| {
@@ -73,7 +67,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::sync::{AtomicUsize, Ordering as O};
+    use std::sync::atomic::{AtomicUsize, Ordering as O};
 
     fn assert_each_task_once(num_tasks: usize, workers: usize) {
         let seen: Vec<AtomicUsize> = (0..num_tasks).map(|_| AtomicUsize::new(0)).collect();

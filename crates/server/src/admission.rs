@@ -12,9 +12,7 @@
 //! *not* a lock-free structure: admission is off the solve hot path
 //! (one lock per request, held for a few loads and stores), and the
 //! blocking-with-timeout semantics of [`Condvar::wait_timeout`] are
-//! exactly what a bounded wait queue needs. The model-checked
-//! lock-free code in this PR is the epoch cell, where readers *are*
-//! on the hot path.
+//! exactly what a bounded wait queue needs.
 
 use std::collections::HashMap;
 use std::fmt;

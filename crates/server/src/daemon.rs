@@ -18,11 +18,11 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use delprop_core::runtime::sync::{AtomicBool, AtomicU64, Ordering};
 use delprop_core::runtime::{now, EpochCell, Portfolio};
 use delprop_core::solvers::local_search::Objective;
 use delprop_core::DeltaBatch;

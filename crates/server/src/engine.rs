@@ -26,10 +26,10 @@
 //! member's lifetime to its request, not thread reaping.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use delprop_core::runtime::solver::{GeneralBalancedSolver, GreedySolver};
-use delprop_core::runtime::sync::{AtomicU64, Ordering};
 use delprop_core::runtime::{now, Budget, EpochSnapshot, Portfolio, PortfolioOutcome};
 use delprop_core::solvers::local_search::Objective;
 use delprop_core::{CoreError, Problem};

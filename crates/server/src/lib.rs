@@ -22,7 +22,7 @@
 //!   load with typed `Overloaded` rejections instead of queueing
 //!   without bound;
 //! - [`engine`] — the per-request solve ladder: deadline-bounded
-//!   budgets on the atomic pool, retry with jittered exponential
+//!   budgets on the shared pool, retry with jittered exponential
 //!   [`backoff`] for transient member failures, and graceful
 //!   degradation to the best *verified* approximate answer, labeled
 //!   with the guarantee it actually carries;
@@ -32,9 +32,10 @@
 //!   observable under overload).
 //!
 //! Every concurrency primitive the daemon adds (shutdown flag, epoch
-//! cell, budget cancellation) goes through `runtime::sync` /
-//! `runtime::now()`, keeping the whole serving path inside the
-//! model-checker and lint discipline of DESIGN.md §11.
+//! cell, budget cancellation) is a `std` lock or a single-variable
+//! atomic with a justified ordering, and every clock read goes through
+//! `runtime::now()`, keeping the whole serving path inside the lint,
+//! Miri and ThreadSanitizer discipline of DESIGN.md §11.
 
 pub mod admission;
 pub mod backoff;

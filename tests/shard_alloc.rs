@@ -15,7 +15,6 @@ use delprop::core::solvers::local_search::Objective;
 use delprop::prelude::*;
 use delprop::workload::forest::{self, ForestParams};
 use std::alloc::{GlobalAlloc, Layout, System};
-// lint:allow(atomics): the global allocator counts below the facade; a model build must not schedule it
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
